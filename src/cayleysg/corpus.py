@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import MulTable, SizeCapError, make_table
+from .core import MalformedTableError, MulTable, SizeCapError, make_table
 
 # Full enumeration is only sane for tiny orders; canonical forms go a bit
 # further since they only pay n! per call.
@@ -153,10 +153,13 @@ def dump_line(S: MulTable) -> str:
 
 
 def load_dump_line(line: str) -> MulTable:
-    """Inverse of dump_line."""
-    parts = line.strip().split(";")
-    n = int(parts[0])
-    rows = [[int(v) - 1 for v in part.split()] for part in parts[1 : n + 1]]
+    """Inverse of dump_line; the declared order must equal the row count."""
+    order, *parts = line.strip().split(";")
+    if not (order.isdecimal() and int(order) == len(parts) > 0):
+        raise MalformedTableError(
+            "declared order %r but got %d rows" % (order, len(parts))
+        )
+    rows = [[int(v) - 1 for v in part.split()] for part in parts]
     return make_table(rows)
 
 

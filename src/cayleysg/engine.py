@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import MulTable, left_translation, LeftTranslation
 
 DEFAULT_BUDGET = 10_000
@@ -38,7 +36,8 @@ WORK_CAP = 200_000
 
 
 class ClosureCapError(ValueError):
-    """Tuple closure grew past the cap; the orbit is likely infinite."""
+    """Section closure passed the cap, which is only a resource limit: sections
+    keep word length, so a length-k word has at most |S|**k residual words."""
 
     def __init__(self, count):
         self.count = count
@@ -183,27 +182,34 @@ def _refine(out_rows, nxt_rows):
     """Classes of machine states under behavioral equivalence.
 
     Moore refinement: start from the partition by output rows, split by
-    successor classes until stable.  Returns per-state class ids numbered
-    by first occurrence in state order, so the result does not depend on
-    numpy's internal sort order.
+    successor classes until the class count stops growing.  Returns
+    per-state class ids numbered by first occurrence in state order.
     """
-    m = len(out_rows)
-    first: dict = {}
-    cls = np.empty(m, dtype=np.int64)
-    for s, row in enumerate(out_rows):
-        cls[s] = first.setdefault(row, len(first))
-    nxt = np.array(nxt_rows, dtype=np.int64)
-    count = len(first)
+    ids: dict = {}
+    cls = [ids.setdefault(row, len(ids)) for row in out_rows]
+    count = len(ids)
     while True:
-        sig = np.concatenate([cls[:, None], cls[nxt]], axis=1)
-        _, new = np.unique(sig, axis=0, return_inverse=True)
-        new_count = int(new.max()) + 1
-        cls = new
-        if new_count == count:
-            break
-        count = new_count
-    renumber: dict = {}
-    return [renumber.setdefault(int(c), len(renumber)) for c in cls]
+        ids = {}
+        get = cls.__getitem__
+        cls = [
+            ids.setdefault((c, *map(get, nxt)), len(ids))
+            for c, nxt in zip(cls, nxt_rows)
+        ]
+        if len(ids) == count:
+            return cls
+        count = len(ids)
+
+
+def _minimize(out_rows, nxt_rows):
+    """The class of each state and the quotient machine's output and
+    successor rows, its states numbered as the classes of _refine."""
+    cls = _refine(out_rows, nxt_rows)
+    qout, qnxt = [], []
+    for s, c in enumerate(cls):
+        if c == len(qout):
+            qout.append(tuple(out_rows[s]))
+            qnxt.append(tuple(cls[t] for t in nxt_rows[s]))
+    return cls, qout, qnxt
 
 
 def _pointed_machine(out_rows, nxt_rows, start, letters):
@@ -231,9 +237,10 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
     """The minimal pointed machine of the transformation named by the word.
 
     Collects the words reachable from the input via sections, minimizes and
-    extracts the reachable quotient.  If more than closure_cap distinct
-    residual words appear, raises ClosureCapError (the orbit is suspected
-    infinite; fall back to equal() for pairwise questions).
+    extracts the reachable quotient.  The orbit is finite (at most
+    |S|**len(word) words, as sections preserve word length); if more than
+    closure_cap distinct residual words appear, raises ClosureCapError as a
+    resource limit (equal() still answers pairwise questions).
     """
     word = _check_word(S, word)
     rows = S.rows
@@ -254,15 +261,7 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
                 order.append(s)
             nxt.append(index[s])
         nxt_rows.append(tuple(nxt))
-    cls = _refine(out_rows, nxt_rows)
-    k = max(cls) + 1
-    qout = [None] * k
-    qnxt = [None] * k
-    for s in range(len(order)):
-        c = cls[s]
-        if qout[c] is None:
-            qout[c] = out_rows[s]
-            qnxt[c] = tuple(cls[t] for t in nxt_rows[s])
+    cls, qout, qnxt = _minimize(out_rows, nxt_rows)
     return _pointed_machine(qout, qnxt, cls[0], n)
 
 
@@ -281,15 +280,12 @@ class BehaviorGraph:
         self.rows = S.rows
         self.n = S.order
         self.state_cap = state_cap
-        cls = _refine(S.rows, S.rows)
-        self.out: list[tuple[int, ...]] = []
-        self.nxt: list[tuple[int, ...]] = []
-        for s in range(self.n):
-            if cls[s] == len(self.out):
-                self.out.append(tuple(S.rows[s]))
-                self.nxt.append(tuple(cls[t] for t in S.rows[s]))
+        cls, self.out, self.nxt = _minimize(S.rows, S.rows)
         # behavior of the one-letter word (g,) for each element g
         self.generator_state = tuple(cls)
+        # rep[g] is the first element with g's row: (c, g), (c, rep[g]) are one pair
+        first: dict = {}
+        self.rep = tuple(first.setdefault(c, g) for g, c in enumerate(cls))
 
     def __len__(self):
         return len(self.out)
@@ -302,6 +298,7 @@ class BehaviorGraph:
         'seed behavior followed by the machine of element'.
         """
         rows = self.rows
+        rep = self.rep
         n = self.n
         base = len(self.out)
 
@@ -317,7 +314,7 @@ class BehaviorGraph:
             return pid
 
         for c, h in seeds:
-            pair_id(c, h)
+            pair_id(c, rep[h])
         pair_out = []
         pair_nxt = []
         i = 0
@@ -329,7 +326,7 @@ class BehaviorGraph:
             cnxt = self.nxt[c]
             pair_out.append(orow)
             pair_nxt.append(
-                tuple(base + pair_id(cnxt[x], orow[x]) for x in range(n))
+                tuple(base + pair_id(cnxt[x], rep[orow[x]]) for x in range(n))
             )
             if base + len(pair_list) > self.state_cap:
                 raise StateCapError(base + len(pair_list))
@@ -343,7 +340,7 @@ class BehaviorGraph:
                 assert c == len(self.out)  # fresh classes appear in id order
                 self.out.append(pair_out[j])
                 self.nxt.append(tuple(cls[t] for t in pair_nxt[j]))
-        return [cls[base + pair_index[(c, h)]] for c, h in seeds]
+        return [cls[base + pair_index[(c, rep[h])]] for c, h in seeds]
 
     def element(self, state: int) -> AutElement:
         """The canonical machine of the behavior at the given state."""

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,3 +195,19 @@ def test_direct_product_rows_match_components(data):
     y = data.draw(st.integers(0, T.order - 1))
     k = T.order
     assert P.rows[a * k + b][x * k + y] == S.rows[a][x] * k + T.rows[b][y]
+
+
+def test_import_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import cayleysg, sys; assert 'numpy' not in sys.modules",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

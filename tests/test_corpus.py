@@ -144,6 +144,14 @@ def test_dump_line_round_trip():
     assert c.load_dump_line(line).rows == S.rows
 
 
+@pytest.mark.parametrize(
+    "line", ["1;1;1 1", "2;1 2", "0;", "-1;1", "x;1", ";1", "2"]
+)
+def test_load_dump_line_rejects_wrong_row_count_or_order(line):
+    with pytest.raises(c.MalformedTableError, match="order"):
+        c.load_dump_line(line)
+
+
 def test_find_isomorphism_positive_and_negative():
     z3 = c.cyclic_group(3)
     shuffled = _relabel(z3.rows, (2, 0, 1))

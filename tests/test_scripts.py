@@ -16,21 +16,6 @@ def run_script(name, *args):
     )
 
 
-def test_verify_corpus_clean_run():
-    proc = run_script("verify_corpus.py", "--max-order", "2")
-    assert proc.returncode == 0
-    assert "0 disagreements" in proc.stdout
-
-
-def test_verify_corpus_writes_json(tmp_path):
-    path = tmp_path / "report.json"
-    proc = run_script(
-        "verify_corpus.py", "--max-order", "1", "--json", str(path)
-    )
-    assert proc.returncode == 0
-    assert '"tables_checked": 1' in path.read_text()
-
-
 def test_aperiodicity_spotcheck_finds_nothing():
     proc = run_script("aperiodicity_spotcheck.py", "--max-order", "2")
     assert proc.returncode == 0
