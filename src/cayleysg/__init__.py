@@ -9,7 +9,6 @@ table alone, with every answer cross-checkable by brute enumeration.
 
 from .core import (
     SIZE_CAP,
-    LeftTranslation,
     MalformedTableError,
     MulTable,
     NotAssociativeError,
@@ -21,7 +20,6 @@ from .core import (
     direct_product,
     example_ijkf,
     family_names,
-    left_translation,
     left_zero,
     make_table,
     named_family,

@@ -6,7 +6,8 @@ family:rectangular_band:2,3.  All indices on the command line and in the
 JSON output are 1-based.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 a well-formed
-table that is not associative, 4 a verify run that found disagreements.
+table that is not associative, 4 a verify run that found disagreements
+(including a closed C(S) that is not H-trivial).
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from .core import (
     named_family,
 )
 from .corpus import DEDUP_MODES, CorpusSpec, dump_line, generate_tables
-from .engine import Closed, enumerate_semigroup, act
+from .engine import (
+    WORK_CAP,
+    Closed,
+    WorkCapError,
+    act,
+    count_distinct_words,
+    enumerate_semigroup,
+)
 from .machine import build_cayley_machine, machine_to_dot
 from .tableio import TableParseError, parse_table
 from .verify import run_verify
@@ -127,6 +135,27 @@ def cmd_act(args) -> int:
     return 0
 
 
+def cmd_growth(args) -> int:
+    # The free reference counts the words of a free semigroup whose rank is
+    # the number of distinct generator states: equal columns mean no relation
+    # yet, a stalled distinct column means the generated semigroup is finite.
+    S = load_input(args.input)
+    rank = len(set(S.rows))
+    print("order %d, %d distinct generator states" % (S.order, rank))
+    print("length  distinct  new  free reference")
+    previous = 0
+    for length in range(1, args.max_len + 1):
+        try:
+            total = count_distinct_words(S, length, args.work_cap)
+        except WorkCapError as err:
+            print("stopped at length %d: %s" % (length, err))
+            break
+        free_reference = sum(rank**k for k in range(1, length + 1))
+        print("%6d  %8d  %4d  %14d" % (length, total, total - previous, free_reference))
+        previous = total
+    return 0
+
+
 def cmd_verify(args) -> int:
     report = run_verify(
         args.max_order, budget=args.budget, free_len=args.free_len, dedup=args.dedup
@@ -177,6 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="comma separated 1-based elements")
     p.add_argument("--prefix", required=True, help="comma separated 1-based letters")
     p.set_defaults(func=cmd_act)
+
+    p = sub.add_parser(
+        "growth",
+        help="distinct transformations among the words up to each length",
+    )
+    p.add_argument("input")
+    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--work-cap", type=int, default=WORK_CAP)
+    p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("verify", help="cross-check classifier and engine on a corpus")
     p.add_argument("--max-order", type=int, required=True)

@@ -1,4 +1,4 @@
-"""Multiplication tables of finite semigroups and the maps they induce.
+"""Multiplication tables of finite semigroups, named families and products.
 
 Elements are always the indices 0..n-1; optional names are display labels
 only.  Everything downstream (Green's relations, machines, enumeration)
@@ -60,20 +60,6 @@ class MulTable:
         return self.names[a] if self.names is not None else str(a + 1)
 
 
-@dataclass(frozen=True)
-class LeftTranslation:
-    """The map x -> s*x for a fixed s, stored as its image row."""
-
-    image: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.image)
-
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
-
 def _check_shape(rows):
     n = len(rows)
     if n == 0:
@@ -127,13 +113,6 @@ def make_table(rows, names=None, cap: int | None = SIZE_CAP) -> MulTable:
         if len(names) != len(table):
             raise MalformedTableError("name count does not match table order")
     return MulTable(table, names)
-
-
-def left_translation(S: MulTable, s: int) -> LeftTranslation:
-    """The left translation by s, i.e. row s of the table."""
-    if not 0 <= s < S.order:
-        raise IndexError("element %d out of range" % s)
-    return LeftTranslation(S.rows[s])
 
 
 def direct_product(S: MulTable, T: MulTable, cap: int | None = SIZE_CAP) -> MulTable:

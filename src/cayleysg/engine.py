@@ -6,8 +6,8 @@ then feeding its output through the machine started at a_2, and so on.  Two
 different words often name the same transformation; everything here decides
 such questions exactly:
 
-  * first_letter_action(w) is the permutation-free picture of what w does
-    to the first input letter (a left translation of S),
+  * first_letter_action(w) is what w does to the first input letter: the
+    left translation of S by a_k * ... * a_1, returned as that table row,
   * section(w, x) is the word that continues the computation after the
     first letter x, and act(w, p) applies w to a finite prefix p,
   * equal, canonicalize and AutElement compare transformations exactly by
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MulTable, left_translation, LeftTranslation
+from .core import MulTable
 
 DEFAULT_BUDGET = 10_000
 CLOSURE_CAP = 10_000
@@ -74,10 +74,11 @@ def _first_letter_multiplier(S, word):
     return p
 
 
-def first_letter_action(S: MulTable, word) -> LeftTranslation:
-    """The map induced by the word on the first letter of the input."""
+def first_letter_action(S: MulTable, word) -> tuple[int, ...]:
+    """The map the word induces on the first input letter, as its image row
+    (row a_k * ... * a_1 of the table)."""
     word = _check_word(S, word)
-    return left_translation(S, _first_letter_multiplier(S, word))
+    return S.rows[_first_letter_multiplier(S, word)]
 
 
 def section(S: MulTable, word, x: int):
@@ -89,7 +90,11 @@ def section(S: MulTable, word, x: int):
     word = _check_word(S, word)
     if not 0 <= x < S.order:
         raise ValueError("letter %d out of range" % x)
-    rows = S.rows
+    return _section(S.rows, word, x)
+
+
+def _section(rows, word, x):
+    # section() without validation, for residual words built here
     out = []
     c = x
     for a in word:
@@ -108,7 +113,7 @@ def act(S: MulTable, word, prefix):
         if not 0 <= x < S.order:
             raise ValueError("letter %r out of range" % (x,))
         out.append(rows[_first_letter_multiplier(S, word)][x])
-        word = section(S, word, x)
+        word = _section(rows, word, x)
     return tuple(out)
 
 
@@ -135,7 +140,7 @@ def equal(S: MulTable, u, v) -> bool:
         if rows[_first_letter_multiplier(S, a)] != rows[_first_letter_multiplier(S, b)]:
             return False
         for x in range(n):
-            stack.append((section(S, a, x), section(S, b, x)))
+            stack.append((_section(rows, a, x), _section(rows, b, x)))
     return True
 
 
@@ -253,7 +258,7 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
         out_rows.append(rows[_first_letter_multiplier(S, w)])
         nxt = []
         for x in range(n):
-            s = section(S, w, x)
+            s = _section(rows, w, x)
             if s not in index:
                 if len(order) >= closure_cap:
                     raise ClosureCapError(len(order))
@@ -332,12 +337,14 @@ class BehaviorGraph:
                 raise StateCapError(base + len(pair_list))
 
         cls = _refine(self.out + pair_out, self.nxt + pair_nxt)
-        for s in range(base):
-            assert cls[s] == s  # established behaviors are pairwise distinct
+        # established behaviors are pairwise distinct, fresh classes follow in id order
+        if cls[:base] != list(range(base)):
+            raise RuntimeError("refinement renumbered an established behavior")
         for j in range(len(pair_list)):
             c = cls[base + j]
             if c >= len(self.out):
-                assert c == len(self.out)  # fresh classes appear in id order
+                if c != len(self.out):
+                    raise RuntimeError("fresh behavior class %d out of id order" % c)
                 self.out.append(pair_out[j])
                 self.nxt.append(tuple(cls[t] for t in pair_nxt[j]))
         return [cls[base + pair_index[(c, rep[h])]] for c, h in seeds]

@@ -55,11 +55,18 @@ def _number(keys):
     return tuple(ids.setdefault(k, len(ids)) for k in keys)
 
 
+def _one_sided_ideals(rows):
+    """The principal right and left ideals aS^1 and S^1a of every a."""
+    n = len(rows)
+    right = [frozenset({a}.union(rows[a])) for a in range(n)]
+    left = [frozenset({a}.union(rows[x][a] for x in range(n))) for a in range(n)]
+    return right, left
+
+
 def green_relations(S: MulTable) -> GreenData:
     rows = S.rows
     n = S.order
-    right = [frozenset({a}.union(rows[a])) for a in range(n)]
-    left = [frozenset({a}.union(rows[x][a] for x in range(n))) for a in range(n)]
+    right, left = _one_sided_ideals(rows)
     two_sided = [
         frozenset(
             itertools.chain(
@@ -108,7 +115,7 @@ def green_relations(S: MulTable) -> GreenData:
 
 def is_h_trivial(S: MulTable) -> bool:
     """True iff every H-class is a singleton."""
-    return max(green_relations(S).h_class) + 1 == S.order
+    return len(set(zip(*_one_sided_ideals(S.rows)))) == S.order
 
 
 def _as_subset(S, subset):

@@ -7,7 +7,8 @@ the enumerated semigroup, freeness is rechecked by counting distinct
 transformations per word length, and the inflation test is rechecked by
 brute force search.  Any disagreement is reported; a clean run is evidence
 that the closed-form characterizations and the machine engine implement
-the same semantics.
+the same semantics.  Every closed C(S) is also checked to be H-trivial,
+which the paper leaves open; a counterexample is reported as a disagreement.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .classify import classify, free_pair_check, infinite_witness
 from .corpus import CorpusSpec, dump_line, generate_tables
 from .engine import Closed, count_distinct_words, enumerate_semigroup
-from .green import brute_force_inflation, green_relations, group_identity
+from .green import brute_force_inflation, green_relations, group_identity, is_h_trivial
 from .core import MulTable
 
 
@@ -85,6 +86,7 @@ def check_table(S: MulTable, budget: int = 10_000, free_len: int = 4):
         size = len(rows)
         engine_left = all(rows[a][b] == a for a in range(size) for b in range(size))
         engine_right = all(rows[a][b] == b for a in range(size) for b in range(size))
+        check("closed_h_trivial", is_h_trivial(MulTable(rows)))
     else:
         engine_left = engine_right = False
     check("left_zero", report.is_left_zero == engine_left)

@@ -166,6 +166,32 @@ def test_verify_report_file(capsys, tmp_path):
     assert "checked 1 tables" in out
 
 
+def test_growth_profile_matches_free_reference(capsys):
+    code, out, _ = run(capsys, "growth", "family:cyclic_group:2", "--max-len", "4")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["4", "30", "16", "30"]
+
+
+def test_growth_profile_stops_at_the_work_cap(capsys):
+    code, out, _ = run(
+        capsys,
+        "growth",
+        "family:symmetric_group:3",
+        "--max-len",
+        "12",
+        "--work-cap",
+        "1000",
+    )
+    assert code == 0
+    assert "stopped at length 4" in out
+
+
+def test_growth_profile_rejects_unknown_family(capsys):
+    code, _, err = run(capsys, "growth", "family:nosuch")
+    assert code == 2
+    assert "error:" in err
+
+
 def test_corpus_dump(capsys):
     code, out, _ = run(capsys, "corpus", "--order", "2", "--dedup", "labeled")
     assert code == 0

@@ -66,26 +66,6 @@ def test_make_table_rejects_wrong_name_count():
         c.make_table(Z2, names=["e"])
 
 
-def test_left_translation_is_the_row():
-    S = c.make_table(Z2)
-    assert c.left_translation(S, 1).image == (1, 0)
-    assert c.left_translation(S, 1)(0) == 1
-    with pytest.raises(IndexError):
-        c.left_translation(S, 2)
-
-
-def test_left_translations_compose_contravariantly(tables3):
-    # x -> t*(s*x) is the translation by the product t*s
-    for S in tables3[::7]:
-        n = S.order
-        for s in range(n):
-            for t in range(n):
-                lam_s = c.left_translation(S, s)
-                lam_t = c.left_translation(S, t)
-                composed = tuple(lam_t(lam_s(x)) for x in range(n))
-                assert composed == c.left_translation(S, S.mul(t, s)).image
-
-
 def test_left_zero_right_zero_null_rows():
     assert c.left_zero(3).rows == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
     assert c.right_zero(3).rows == ((0, 1, 2), (0, 1, 2), (0, 1, 2))

@@ -49,14 +49,14 @@ def test_word_validation():
 
 def test_first_letter_action_frozen_cases():
     z2 = c.cyclic_group(2)
-    assert c.first_letter_action(z2, (1,)).image == (1, 0)
-    assert c.first_letter_action(z2, (1, 1)).image == (0, 1)
+    assert c.first_letter_action(z2, (1,)) == (1, 0)
+    assert c.first_letter_action(z2, (1, 1)) == (0, 1)
     lz = c.left_zero(2)
-    assert c.first_letter_action(lz, (0, 1)).image == (1, 1)
+    assert c.first_letter_action(lz, (0, 1)) == (1, 1)
     S = c.example_ijkf()
     assert (
-        c.first_letter_action(S, (0,)).image
-        == c.first_letter_action(S, (1,)).image
+        c.first_letter_action(S, (0,))
+        == c.first_letter_action(S, (1,))
         == (0, 1, 2, 0)
     )
 
@@ -68,7 +68,7 @@ def test_first_letter_action_matches_literal_runs(data):
     word = data.draw(words_of(S, 4))
     action = c.first_letter_action(S, word)
     for x in range(S.order):
-        assert action(x) == oracles.word_apply(S.rows, word, (x,))[0]
+        assert action[x] == oracles.word_apply(S.rows, word, (x,))[0]
 
 
 @settings(max_examples=120, deadline=None)
@@ -77,10 +77,7 @@ def test_word_actions_compose_through_reversed_products(data):
     S = data.draw(st.sampled_from(small_pool()))
     a = data.draw(st.integers(0, S.order - 1))
     b = data.draw(st.integers(0, S.order - 1))
-    assert (
-        c.first_letter_action(S, (a, b)).image
-        == c.left_translation(S, S.mul(b, a)).image
-    )
+    assert c.first_letter_action(S, (a, b)) == S.rows[S.mul(b, a)]
 
 
 # section
@@ -105,7 +102,7 @@ def test_section_continues_the_run(data):
     x = data.draw(st.integers(0, S.order - 1))
     prefix = data.draw(st.lists(st.integers(0, S.order - 1), max_size=4).map(tuple))
     full = oracles.word_apply(S.rows, word, (x,) + prefix)
-    assert full[0] == c.first_letter_action(S, word)(x)
+    assert full[0] == c.first_letter_action(S, word)[x]
     assert full[1:] == oracles.word_apply(S.rows, c.section(S, word, x), prefix)
 
 
@@ -290,6 +287,31 @@ def test_enumerate_state_cap_reports_capped():
     result = c.enumerate_semigroup(c.cyclic_group(2), 10**6, state_cap=50)
     assert isinstance(result, c.Exceeded)
     assert result.capped
+
+
+def test_extend_rejects_a_refinement_that_breaks_state_ids(monkeypatch):
+    import cayleysg.engine as engine
+
+    refine = engine._refine
+    graph = c.BehaviorGraph(c.cyclic_group(2))
+    graph.extend([(0, 0), (0, 1)])
+    assert len(graph) > 2
+
+    def swap_first_two(out_rows, nxt_rows):
+        cls = refine(out_rows, nxt_rows)
+        return [{0: 1, 1: 0}.get(k, k) for k in cls]
+
+    monkeypatch.setattr(engine, "_refine", swap_first_two)
+    with pytest.raises(RuntimeError):
+        graph.extend([(1, 0)])
+
+    def skip_an_id(out_rows, nxt_rows):
+        cls = refine(out_rows, nxt_rows)
+        return [k if k < len(graph) else k + 1 for k in cls]
+
+    monkeypatch.setattr(engine, "_refine", skip_an_id)
+    with pytest.raises(RuntimeError):
+        graph.extend([(s, g) for s in range(len(graph)) for g in (0, 1)])
 
 
 def test_enumerate_is_deterministic():

@@ -3,14 +3,14 @@ from __future__ import annotations
 import dataclasses
 
 import cayleysg.verify as verify
-from cayleysg import cyclic_group, left_zero, run_verify
+from cayleysg import Closed, cyclic_group, left_zero, run_verify
 from cayleysg.verify import check_table
 
 
 def test_clean_run_through_order_3():
     report = run_verify(3, budget=10_000, free_len=4)
     assert report.tables_checked == 23
-    assert report.checks_passed == 171
+    assert report.checks_passed == 188
     assert report.disagreements == ()
     assert report.inconclusive == ()
 
@@ -21,9 +21,10 @@ def test_labeled_dedup_checks_every_table():
 
 
 def test_check_table_counts_for_finite_input():
-    # finite, trivial, group, left/right zero, inflation, D-class products
+    # finite, trivial, group, closed H-trivial, left/right zero, inflation,
+    # D-class products
     passed, disagreements, inconclusive = check_table(left_zero(2))
-    assert passed == 7
+    assert passed == 8
     assert disagreements == []
     assert inconclusive == []
 
@@ -42,6 +43,15 @@ def test_check_table_reports_a_lying_classifier(monkeypatch):
     monkeypatch.setattr(verify, "classify", lambda _: lying)
     _, disagreements, _ = check_table(S)
     assert any(item["check"] == "trivial" for item in disagreements)
+
+
+def test_check_table_reports_a_closed_semigroup_that_is_not_h_trivial(monkeypatch):
+    # Z2 is one H-class, so a Closed result with its table is a counterexample
+    z2 = cyclic_group(2)
+    fake = Closed(elements=(), cayley=z2.rows, generator_map=(0, 1))
+    monkeypatch.setattr(verify, "enumerate_semigroup", lambda S, budget: fake)
+    _, disagreements, _ = check_table(left_zero(2))
+    assert any(item["check"] == "closed_h_trivial" for item in disagreements)
 
 
 def test_report_round_trips_to_json():
