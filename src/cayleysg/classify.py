@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import MulTable
-from .engine import BehaviorGraph, WorkCapError
+from .engine import WorkCapError, word_counts
 from .green import green_relations, inflation_of_right_zero
 
 
@@ -91,7 +91,7 @@ def classify(S: MulTable) -> ClassificationReport:
     )
 
     if not finite:
-        h_class, stabilizer = infinite_witness(S)
+        h_class, stabilizer = _infinite_witness(S, green)
         witnesses["infinite"] = {"h_class": h_class, "stabilizer": stabilizer}
 
     if len(kernel) == 1:
@@ -126,7 +126,10 @@ def infinite_witness(S: MulTable):
     one-letter machines of stabilizer elements are where a free pair of
     transformations is found.
     """
-    green = green_relations(S)
+    return _infinite_witness(S, green_relations(S))
+
+
+def _infinite_witness(S: MulTable, green):
     rows = S.rows
     n = S.order
     for a in range(n):
@@ -155,23 +158,21 @@ def free_pair_check(
     for g in (u, v):
         if not 0 <= g < n:
             raise ValueError("element %d out of range" % g)
+    if max_len < 1:
+        raise ValueError("max_len must be positive")
     if 2 ** (max_len + 1) > work_cap:
         raise WorkCapError(
             "%d words exceed the work cap %d" % (2 ** (max_len + 1), work_cap)
         )
-    graph = BehaviorGraph(S)
-    level = [graph.generator_state[u], graph.generator_state[v]]
-    if level[0] == level[1]:
-        raise ValueError("the two generators coincide as transformations")
-    seen = set(level)
-    for _ in range(max_len - 1):
-        seeds = [(st, g) for st in level for g in (u, v)]
-        level = graph.extend(seeds)
-        fresh = set(level)
-        if len(fresh) < len(level) or fresh & seen:
+    for length, count in enumerate(word_counts(S, (u, v)), 1):
+        if count < 2 ** (length + 1) - 2:  # 2 + 4 + ... + 2**length words
+            if length == 1:
+                raise ValueError("the two generators coincide as transformations")
             return False
-        seen |= fresh
-    return True
+        if length == max_len:
+            return True
+    # the closure is finite: the length that added nothing is a relation
+    return False
 
 
 def report_to_json(report: ClassificationReport) -> dict:

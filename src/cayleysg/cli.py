@@ -136,6 +136,8 @@ def cmd_act(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    if args.max_len < 1 or args.work_cap < 1:
+        raise ValueError("--max-len and --work-cap must be positive")
     # The free reference counts the words of a free semigroup whose rank is
     # the number of distinct generator states: equal columns mean no relation
     # yet, a stalled distinct column means the generated semigroup is finite.

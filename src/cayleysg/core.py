@@ -56,9 +56,6 @@ class MulTable:
     def mul(self, a: int, b: int) -> int:
         return self.rows[a][b]
 
-    def name_of(self, a: int) -> str:
-        return self.names[a] if self.names is not None else str(a + 1)
-
 
 def _check_shape(rows):
     n = len(rows)

@@ -21,7 +21,6 @@ ENUMERATION_CAP = 4
 CANONICAL_CAP = 6
 
 DEDUP_MODES = ("labeled", "up_to_iso", "up_to_iso_anti")
-FILL_ORDERS = ("row_major", "column_major")
 
 
 @dataclass(frozen=True)

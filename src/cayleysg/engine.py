@@ -12,19 +12,20 @@ such questions exactly:
     first letter x, and act(w, p) applies w to a finite prefix p,
   * equal, canonicalize and AutElement compare transformations exactly by
     minimizing the corresponding machines,
-  * enumerate_semigroup closes the one-letter machines under composition
-    and either returns the whole generated semigroup or reports that it
-    passed a budget.
+  * enumerate_semigroup, count_distinct_words and word_counts (behind the
+    free pair check of classify) close one-letter machines under composition
+    with one breadth-first search by word length.
 
-The closure machinery never stores one machine per word.  It grows a single
-minimized behavior graph whose states are the distinct transformations seen
-so far; appending a letter h to a behavior c is machine composition, so the
-result depends only on the pair (c, h).  State ids are stable as the graph
-grows, which lets callers accumulate sets of behaviors across rounds.
+The search never stores one machine per word.  It grows a single minimized
+behavior graph whose states are the distinct transformations seen so far;
+appending a letter h to a behavior c is machine composition, so the result
+depends only on the pair (c, h), and a product table is read off the right
+Cayley graph.  State ids are stable as the graph grows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import MulTable
@@ -380,73 +381,73 @@ class Exceeded:
 EnumerationResult = Closed | Exceeded
 
 
+def _breadth_first(graph, gens):
+    """Breadth-first search by word length of the semigroup generated by
+    the behaviors of gens: index maps the graph state of each element to its
+    number in discovery order, parent[e] = (p, i) says e = p * gens[i] (p is
+    -1 for gens[i] itself) and right[e][i] = e * gens[i] is the right Cayley
+    graph (Froidure and Pin).  Yields after each length that adds elements,
+    with right filled up to the previous length; ends, with right complete,
+    at the first length that adds nothing."""
+    index: dict = {}
+    right: list = []
+    parent: list = []
+
+    def element(st, p, i):
+        if st not in index:
+            index[st] = len(parent)
+            parent.append((p, i))
+        return index[st]
+
+    for i, g in enumerate(gens):
+        element(graph.generator_state[g], -1, i)
+    k = len(gens)
+    while len(right) < len(parent):
+        yield index, right, parent
+        frontier = list(index)[len(right) :]
+        results = graph.extend([(st, g) for st in frontier for g in gens])
+        for pos in range(0, len(results), k):
+            e, row = len(right), results[pos : pos + k]
+            right.append(tuple(element(st, e, i) for i, st in enumerate(row)))
+
+
 def enumerate_semigroup(
     S: MulTable, budget: int = DEFAULT_BUDGET, state_cap: int = STATE_CAP
 ) -> EnumerationResult:
     """Close the one-letter machines of S under composition.
 
     Breadth-first on word length: every element found at the previous depth
-    is extended by every generator, recording products as they appear.  The
-    run is Closed when a depth adds nothing new, and Exceeded as soon as
-    more than budget distinct transformations exist.
+    is extended by every generator.  The run is Closed when a depth adds
+    nothing new, and Exceeded once more than budget distinct
+    transformations exist.  Row a of the table follows the right Cayley
+    graph: a * (p * g) = (a * p) * g.
     """
     n = S.order
     if budget < n:
         raise ValueError("budget %d below the number of generators %d" % (budget, n))
     graph = BehaviorGraph(S, state_cap)
-    state_elem: dict = {}
-    elem_state: list = []
-    words: list = []
-    generator_map = []
-    frontier = []
-    for g in range(n):
-        st = graph.generator_state[g]
-        e = state_elem.get(st)
-        if e is None:
-            e = len(elem_state)
-            state_elem[st] = e
-            elem_state.append(st)
-            words.append((g,))
-            frontier.append(e)
-        generator_map.append(e)
-
-    product: dict = {}
     try:
-        while frontier:
-            seeds = [(elem_state[e], g) for e in frontier for g in range(n)]
-            results = graph.extend(seeds)
-            fresh = []
-            pos = 0
-            for e in frontier:
-                for g in range(n):
-                    st = results[pos]
-                    pos += 1
-                    f = state_elem.get(st)
-                    if f is None:
-                        f = len(elem_state)
-                        if f >= budget:
-                            return Exceeded(f + 1)
-                        state_elem[st] = f
-                        elem_state.append(st)
-                        words.append(words[e] + (g,))
-                        fresh.append(f)
-                    product[(e, g)] = f
-            frontier = fresh
+        for index, right, parent in _breadth_first(graph, range(n)):
+            if len(index) > budget:
+                return Exceeded(budget + 1)
     except StateCapError:
-        return Exceeded(len(elem_state), capped=True)
+        return Exceeded(len(index), capped=True)
 
-    count = len(elem_state)
-    elements = tuple(graph.element(st) for st in elem_state)
     cayley = []
-    for a in range(count):
-        row = []
-        for b in range(count):
-            x = a
-            for g in words[b]:
-                x = product[(x, g)]
-            row.append(x)
+    for a in range(len(parent)):
+        row: list = []
+        for p, i in parent:
+            row.append(right[a if p < 0 else row[p]][i])
         cayley.append(tuple(row))
-    return Closed(elements, tuple(cayley), tuple(generator_map))
+    elements = tuple(graph.element(st) for st in index)
+    return Closed(elements, tuple(cayley), tuple(map(index.get, graph.generator_state)))
+
+
+def word_counts(S: MulTable, gens):
+    """How many distinct transformations the words over gens of length at
+    most l name, for l = 1, 2, ... until a length adds none."""
+    for index, _, _ in _breadth_first(BehaviorGraph(S), gens):
+        yield len(index)
 
 
 def count_distinct_words(S: MulTable, max_len: int, work_cap: int = WORK_CAP) -> int:
@@ -461,11 +462,4 @@ def count_distinct_words(S: MulTable, max_len: int, work_cap: int = WORK_CAP) ->
     total = sum(n**length for length in range(1, max_len + 1))
     if total > work_cap:
         raise WorkCapError("%d words exceed the work cap %d" % (total, work_cap))
-    graph = BehaviorGraph(S)
-    active = sorted(set(graph.generator_state))
-    seen = set(active)
-    for _ in range(max_len - 1):
-        seeds = [(st, g) for st in active for g in range(n)]
-        active = sorted(set(graph.extend(seeds)))
-        seen.update(active)
-    return len(seen)
+    return list(itertools.islice(word_counts(S, range(n)), max_len))[-1]

@@ -98,7 +98,8 @@ def green_relations(S: MulTable) -> GreenData:
     for a in range(1, n):
         z = rows[z][a]
     minimal_ideal = tuple(sorted(two_sided[z]))
-    assert minimal_ideal == d_classes[d_class[z]]
+    if minimal_ideal != d_classes[d_class[z]]:
+        raise RuntimeError("the minimal ideal is not the D-class of %d" % z)
 
     idempotents = tuple(a for a in range(n) if rows[a][a] == a)
     return GreenData(

@@ -17,11 +17,11 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .classify import classify, free_pair_check, infinite_witness
-from .corpus import CorpusSpec, dump_line, generate_tables
+from .classify import classify, free_pair_check
+from .corpus import ENUMERATION_CAP, CorpusSpec, dump_line, generate_tables
 from .engine import Closed, count_distinct_words, enumerate_semigroup
 from .green import brute_force_inflation, green_relations, group_identity, is_h_trivial
-from .core import MulTable
+from .core import MulTable, SizeCapError
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,8 @@ def check_table(S: MulTable, budget: int = 10_000, free_len: int = 4):
     check("d_class_products", ok)
 
     if not report.is_finite:
-        h_class, stabilizer = infinite_witness(S)
+        h_class = report.witnesses["infinite"]["h_class"]
+        stabilizer = report.witnesses["infinite"]["stabilizer"]
         check("infinite_witness", len(h_class) > 1 and len(stabilizer) > 0)
         reps = []
         seen_rows = set()
@@ -157,7 +158,12 @@ def run_verify(
     dedup: str = "up_to_iso_anti",
     progress=None,
 ) -> VerifyReport:
-    """Check every table of order 1..max_order (one per dedup class)."""
+    """Check every table of order 1..max_order (one per dedup class); an
+    order above the corpus cap or below 1, or free_len below 1, raises first."""
+    if max_order > ENUMERATION_CAP:
+        raise SizeCapError("order %d exceeds cap %d" % (max_order, ENUMERATION_CAP))
+    if max_order < 1 or free_len < 1:
+        raise ValueError("max_order and free_len must be positive")
     start = time.perf_counter()
     tables_checked = 0
     checks_passed = 0

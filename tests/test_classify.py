@@ -152,6 +152,20 @@ def test_free_pair_check_cases():
         c.free_pair_check(z2, 0, 1, 30)
 
 
+def test_free_pair_check_is_false_when_the_closure_is_finite():
+    # the search ends at the first length that adds nothing; that is a relation
+    S = c.example_ijkf()
+    assert c.free_pair_check(S, 1, 2, 3) is False
+    assert c.free_pair_check(S, 1, 2, 4) is False
+    semilattice = c.make_table([[0, 0], [0, 1]])
+    assert c.free_pair_check(semilattice, 0, 1, 2) is False
+
+
+def test_free_pair_check_rejects_a_non_positive_length():
+    with pytest.raises(ValueError):
+        c.free_pair_check(c.cyclic_group(2), 0, 1, 0)
+
+
 def test_free_pair_check_matches_distinct_word_counts():
     # over {u, v} alone, freeness up to L means 2 + 4 + ... + 2**L words
     z3 = c.cyclic_group(3)

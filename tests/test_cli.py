@@ -186,6 +186,22 @@ def test_growth_profile_stops_at_the_work_cap(capsys):
     assert "stopped at length 4" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-order", "0"],
+        ["verify", "--max-order", "5"],
+        ["growth", "family:cyclic_group:2", "--work-cap", "-5"],
+        ["growth", "family:cyclic_group:2", "--max-len", "0"],
+    ],
+)
+def test_out_of_range_lengths_orders_and_caps_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_growth_profile_rejects_unknown_family(capsys):
     code, _, err = run(capsys, "growth", "family:nosuch")
     assert code == 2

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 import cayleysg.verify as verify
-from cayleysg import Closed, cyclic_group, left_zero, run_verify
+from cayleysg import Closed, SizeCapError, cyclic_group, left_zero, run_verify
 from cayleysg.verify import check_table
 
 
@@ -79,3 +81,17 @@ def test_progress_callback_sees_every_table():
     run_verify(2, progress=lambda order, count: seen.append((order, count)))
     assert seen[0] == (1, 1)
     assert seen[-1][1] == len(seen)
+
+
+def test_run_verify_rejects_an_order_above_the_cap_before_any_table():
+    seen = []
+    with pytest.raises(SizeCapError):
+        run_verify(5, progress=lambda order, count: seen.append((order, count)))
+    assert seen == []
+
+
+def test_run_verify_rejects_non_positive_order_and_free_len():
+    with pytest.raises(ValueError):
+        run_verify(0)
+    with pytest.raises(ValueError):
+        run_verify(1, free_len=0)
