@@ -19,16 +19,18 @@ suite and in the verify command; the two routes are kept independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import MulTable
 from .engine import WorkCapError, word_counts
-from .green import green_relations, inflation_of_right_zero
+from .green import GreenData, green_relations, inflation_of_right_zero
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Answers about C(S), with witnesses as plain data (0-based indices)."""
+    """Answers about C(S), with witnesses as plain data (0-based indices).
+    green holds the Green's relations of S the answers were read from; it
+    is not part of the report's value or of its JSON."""
 
     is_trivial: bool
     is_group: bool
@@ -39,6 +41,7 @@ class ClassificationReport:
     is_right_zero: bool
     witnesses: dict
     notes: str
+    green: GreenData | None = field(default=None, compare=False, repr=False)
 
 
 def classify(S: MulTable) -> ClassificationReport:
@@ -115,6 +118,7 @@ def classify(S: MulTable) -> ClassificationReport:
         is_right_zero=is_right_zero,
         witnesses=witnesses,
         notes="; ".join(notes),
+        green=green,
     )
 
 

@@ -152,13 +152,17 @@ def dump_line(S: MulTable) -> str:
 
 
 def load_dump_line(line: str) -> MulTable:
-    """Inverse of dump_line; the declared order must equal the row count."""
+    """Inverse of dump_line; the declared order must equal the row count
+    and every entry must be an integer."""
     order, *parts = line.strip().split(";")
     if not (order.isdecimal() and int(order) == len(parts) > 0):
         raise MalformedTableError(
             "declared order %r but got %d rows" % (order, len(parts))
         )
-    rows = [[int(v) - 1 for v in part.split()] for part in parts]
+    try:
+        rows = [[int(v) - 1 for v in part.split()] for part in parts]
+    except ValueError:
+        raise MalformedTableError("non-integer entry in %r" % line.strip())
     return make_table(rows)
 
 

@@ -19,14 +19,16 @@ such questions exactly:
 The search never stores one machine per word.  It grows a single minimized
 behavior graph whose states are the distinct transformations seen so far;
 appending a letter h to a behavior c is machine composition, so the result
-depends only on the pair (c, h), and a product table is read off the right
-Cayley graph.  State ids are stable as the graph grows.
+depends only on c and on what h does to the outputs of c, and a product
+table is read off the right Cayley graph.  State ids are stable as the graph
+grows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import MulTable
 
@@ -218,25 +220,35 @@ def _minimize(out_rows, nxt_rows):
     return cls, qout, qnxt
 
 
-def _pointed_machine(out_rows, nxt_rows, start, letters):
-    """The reachable part from start, renumbered breadth-first.
+def _picker(positions):
+    """The map row -> tuple(row[k] for k in positions), one C call."""
+    if len(positions) == 1:
+        (k,) = positions
+        return lambda row: (row[k],)
+    return itemgetter(*positions)
 
-    The input states must be pairwise inequivalent (already minimized);
-    the result is then the canonical form of the pointed machine.
+
+def _pointed_machine(out_rows, nxt_rows, start, column):
+    """The reachable part from start, renumbered breadth-first; letter x
+    reads entry column[x] of the rows.
+
+    The input states must be pairwise inequivalent (already minimized) and
+    the first letter to read entry k must come before the first to read
+    entry k + 1; the result is then the canonical form of the pointed
+    machine.
     """
     order = [start]
     index = {start: 0}
     for s in order:
-        for x in range(letters):
-            t = nxt_rows[s][x]
+        for t in nxt_rows[s]:
             if t not in index:
                 index[t] = len(order)
                 order.append(t)
-    transition = tuple(
-        tuple(index[nxt_rows[s][x]] for x in range(letters)) for s in order
-    )
-    output = tuple(tuple(out_rows[s]) for s in order)
-    return AutElement(letters, transition, output)
+    pick = _picker(column)
+    renumber = index.__getitem__
+    transition = tuple(tuple(map(renumber, pick(nxt_rows[s]))) for s in order)
+    output = tuple(pick(out_rows[s]) for s in order)
+    return AutElement(len(column), transition, output)
 
 
 def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElement:
@@ -268,7 +280,7 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
             nxt.append(index[s])
         nxt_rows.append(tuple(nxt))
     cls, qout, qnxt = _minimize(out_rows, nxt_rows)
-    return _pointed_machine(qout, qnxt, cls[0], n)
+    return _pointed_machine(qout, qnxt, cls[0], range(n))
 
 
 class BehaviorGraph:
@@ -279,6 +291,10 @@ class BehaviorGraph:
     minimizing globally; established state ids never change because
     established states are pairwise inequivalent and the class numbering
     follows first occurrence.
+
+    Input letters with equal table columns (a*x == a*x' for every a) act
+    alike in every behavior, so states read only the first letter of each
+    distinct column; element() expands the machine back to all letters.
     """
 
     def __init__(self, S: MulTable, state_cap: int = STATE_CAP):
@@ -286,15 +302,34 @@ class BehaviorGraph:
         self.rows = S.rows
         self.n = S.order
         self.state_cap = state_cap
-        cls, self.out, self.nxt = _minimize(S.rows, S.rows)
+        # column[x] numbers the distinct table columns in order; behaviors
+        # read the first letter of each, the inputs
+        first: dict = {}
+        self.column = tuple(first.setdefault(col, len(first)) for col in zip(*S.rows))
+        inputs = [self.column.index(k) for k in range(len(first))]
+        table = list(map(_picker(inputs), S.rows))
+        cls, self.out, self.nxt = _minimize(table, table)
         # behavior of the one-letter word (g,) for each element g
         self.generator_state = tuple(cls)
-        # rep[g] is the first element with g's row: (c, g), (c, rep[g]) are one pair
-        first: dict = {}
-        self.rep = tuple(first.setdefault(c, g) for g, c in enumerate(cls))
+        self._letter_cache: dict = {}
+        self.letters = [self._letters_of(row) for row in self.out]
 
     def __len__(self):
         return len(self.out)
+
+    def _letters_of(self, row):
+        """letters[h] is the first element acting like h on the values of
+        row, so a behavior with this output row followed by the machine of h
+        or of letters[h] is one machine.  Output rows are rows of S, so the
+        cache holds at most |S| tuples."""
+        letters = self._letter_cache.get(row)
+        if letters is None:
+            on_image = itemgetter(*set(row))
+            first: dict = {}
+            letters = self._letter_cache[row] = tuple(
+                first.setdefault(on_image(row_h), h) for h, row_h in enumerate(self.rows)
+            )
+        return letters
 
     def extend(self, seeds):
         """Compose behaviors with one-letter machines and absorb the results.
@@ -302,57 +337,78 @@ class BehaviorGraph:
         seeds is a sequence of (state, element) pairs; the return value
         gives, for each seed in order, the state id of the transformation
         'seed behavior followed by the machine of element'.
+
+        A pair (c, h) outputs h*y for each output y of c and moves to the
+        pairs (nxt[c][x], h*y), so it is keyed by (c, letters[c][h]), one
+        pair state per distinct machine, and its successors are built once
+        per distinct (successor, output) column of c.
         """
         rows = self.rows
-        rep = self.rep
-        n = self.n
-        base = len(self.out)
+        out, nxt, letters = self.out, self.nxt, self.letters
+        base = len(out)
 
-        pair_index: dict = {}
+        # pair_ids[c][h] numbers the pair (c, h) from base on, in the order
+        # of pair_list
+        pair_ids: dict = {}
         pair_list: list = []
-
-        def pair_id(c, h):
-            pid = pair_index.get((c, h))
-            if pid is None:
-                pid = len(pair_list)
-                pair_index[(c, h)] = pid
-                pair_list.append((c, h))
-            return pid
-
+        # per first component c: the successor states with their pair ids
+        # and letters, the picker of the outputs they read, where each input
+        # goes among them (None if nowhere shared) and the output picker
+        spreads: dict = {}
+        seed_ids = []
+        top = base
         for c, h in seeds:
-            pair_id(c, rep[h])
+            h = letters[c][h]
+            pid = pair_ids.setdefault(c, {}).setdefault(h, top)
+            if pid == top:
+                pair_list.append((c, h))
+                top += 1
+            seed_ids.append(pid)
         pair_out = []
         pair_nxt = []
-        i = 0
-        while i < len(pair_list):
-            c, h = pair_list[i]
-            i += 1
+        for c, h in pair_list:
+            spread = spreads.get(c)
+            if spread is None:
+                first: dict = {}
+                where = [first.setdefault(col, len(first)) for col in zip(nxt[c], out[c])]
+                spread = spreads[c] = (
+                    [(t, pair_ids.setdefault(t, {}), letters[t]) for t, _ in first],
+                    _picker([y for _, y in first]),
+                    None if len(first) == len(where) else where,
+                    _picker(out[c]),
+                )
+            succ, successor_outputs, where, output = spread
             row_h = rows[h]
-            orow = tuple(row_h[y] for y in self.out[c])
-            cnxt = self.nxt[c]
-            pair_out.append(orow)
-            pair_nxt.append(
-                tuple(base + pair_id(cnxt[x], rep[orow[x]]) for x in range(n))
-            )
-            if base + len(pair_list) > self.state_cap:
-                raise StateCapError(base + len(pair_list))
+            ids = []
+            for (t, ids_t, letters_t), hy in zip(succ, successor_outputs(row_h)):
+                g = letters_t[hy]
+                pid = ids_t.setdefault(g, top)
+                if pid == top:
+                    pair_list.append((t, g))
+                    top += 1
+                ids.append(pid)
+            pair_out.append(output(row_h))
+            pair_nxt.append(tuple(ids) if where is None else tuple(map(ids.__getitem__, where)))
+            if top > self.state_cap:
+                raise StateCapError(top)
 
-        cls = _refine(self.out + pair_out, self.nxt + pair_nxt)
+        cls = _refine(out + pair_out, nxt + pair_nxt)
         # established behaviors are pairwise distinct, fresh classes follow in id order
         if cls[:base] != list(range(base)):
             raise RuntimeError("refinement renumbered an established behavior")
         for j in range(len(pair_list)):
             c = cls[base + j]
-            if c >= len(self.out):
-                if c != len(self.out):
+            if c >= len(out):
+                if c != len(out):
                     raise RuntimeError("fresh behavior class %d out of id order" % c)
-                self.out.append(pair_out[j])
-                self.nxt.append(tuple(cls[t] for t in pair_nxt[j]))
-        return [cls[base + pair_index[(c, rep[h])]] for c, h in seeds]
+                out.append(pair_out[j])
+                nxt.append(tuple(cls[t] for t in pair_nxt[j]))
+                letters.append(self._letters_of(pair_out[j]))
+        return [cls[pid] for pid in seed_ids]
 
     def element(self, state: int) -> AutElement:
         """The canonical machine of the behavior at the given state."""
-        return _pointed_machine(self.out, self.nxt, state, self.n)
+        return _pointed_machine(self.out, self.nxt, state, self.column)
 
 
 @dataclass(frozen=True)
@@ -419,8 +475,8 @@ def enumerate_semigroup(
     Breadth-first on word length: every element found at the previous depth
     is extended by every generator.  The run is Closed when a depth adds
     nothing new, and Exceeded once more than budget distinct
-    transformations exist.  Row a of the table follows the right Cayley
-    graph: a * (p * g) = (a * p) * g.
+    transformations exist.  The table follows the right Cayley graph:
+    a * (p * g) = (a * p) * g.
     """
     n = S.order
     if budget < n:
@@ -433,14 +489,16 @@ def enumerate_semigroup(
     except StateCapError:
         return Exceeded(len(index), capped=True)
 
-    cayley = []
-    for a in range(len(parent)):
-        row: list = []
-        for p, i in parent:
-            row.append(right[a if p < 0 else row[p]][i])
-        cayley.append(tuple(row))
+    # column b = p * gens[i] of the table is column p followed by gens[i]
+    by_generator = list(zip(*right))
+    columns: list = []
+    for p, i in parent:
+        step = by_generator[i]
+        columns.append(step if p < 0 else tuple(map(step.__getitem__, columns[p])))
     elements = tuple(graph.element(st) for st in index)
-    return Closed(elements, tuple(cayley), tuple(map(index.get, graph.generator_state)))
+    return Closed(
+        elements, tuple(zip(*columns)), tuple(map(index.get, graph.generator_state))
+    )
 
 
 def word_counts(S: MulTable, gens):

@@ -67,14 +67,8 @@ def green_relations(S: MulTable) -> GreenData:
     rows = S.rows
     n = S.order
     right, left = _one_sided_ideals(rows)
-    two_sided = [
-        frozenset(
-            itertools.chain(
-                right[a], left[a], (rows[rows[x][a]][y] for x in range(n) for y in range(n))
-            )
-        )
-        for a in range(n)
-    ]
+    # S^1aS^1 is the union of the right ideals bS^1 over b in S^1a
+    two_sided = [frozenset().union(*(right[b] for b in left[a])) for a in range(n)]
 
     r_class = _number(right)
     l_class = _number(left)

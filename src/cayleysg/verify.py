@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .classify import classify, free_pair_check
 from .corpus import ENUMERATION_CAP, CorpusSpec, dump_line, generate_tables
 from .engine import Closed, count_distinct_words, enumerate_semigroup
-from .green import brute_force_inflation, green_relations, group_identity, is_h_trivial
+from .green import brute_force_inflation, group_identity, is_h_trivial
 from .core import MulTable, SizeCapError
 
 
@@ -108,7 +108,7 @@ def check_table(S: MulTable, budget: int = 10_000, free_len: int = 4):
         ("inflation" in report.witnesses) == brute_force_inflation(S),
     )
 
-    green = green_relations(S)
+    green = report.green
     table = S.rows
     ok = True
     for a in range(S.order):

@@ -43,5 +43,16 @@ def tables3():
 
 
 @pytest.fixture(scope="session")
+def product16():
+    """The direct product of two H-trivial order-4 tables of the corpus.
+    Its C(S) closes at 16 elements; its 16 rows are distinct, but only 8 of
+    its columns are."""
+    return c.direct_product(
+        c.load_dump_line("4;1 1 1 1;1 2 1 2;3 3 3 3;3 4 3 4"),
+        c.load_dump_line("4;1 1 1 1;1 2 2 2;1 2 3 2;1 2 2 4"),
+    )
+
+
+@pytest.fixture(scope="session")
 def small_tables(tables2, tables3, named_tables):
     return [c.left_zero(1)] + tables2 + tables3 + named_tables

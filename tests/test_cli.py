@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
@@ -184,6 +185,41 @@ def test_growth_profile_stops_at_the_work_cap(capsys):
     )
     assert code == 0
     assert "stopped at length 4" in out
+
+
+def test_growth_profile_of_a_finite_closure_prints_every_length(capsys):
+    code, out, _ = run(capsys, "growth", "family:left_zero:2", "--max-len", "4")
+    assert code == 0
+    assert [line.split() for line in out.splitlines()[2:]] == [
+        ["1", "2", "2", "2"],
+        ["2", "2", "0", "6"],
+        ["3", "2", "0", "14"],
+        ["4", "2", "0", "30"],
+    ]
+
+
+def test_growth_profile_builds_one_behavior_graph(capsys, monkeypatch):
+    engine = importlib.import_module("cayleysg.engine")
+    built = []
+
+    class Counted(engine.BehaviorGraph):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "BehaviorGraph", Counted)
+    code, out, _ = run(
+        capsys,
+        "growth",
+        "family:cyclic_group:3",
+        "--max-len",
+        "9",
+        "--work-cap",
+        "100000",
+    )
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["9", "29523", "19683", "29523"]
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(

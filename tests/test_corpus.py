@@ -152,6 +152,12 @@ def test_load_dump_line_rejects_wrong_row_count_or_order(line):
         c.load_dump_line(line)
 
 
+@pytest.mark.parametrize("line", ["2;1 x;2 1", "1;1.5", "2;1 2;2 one"])
+def test_load_dump_line_rejects_non_integer_entries(line):
+    with pytest.raises(c.MalformedTableError, match="non-integer"):
+        c.load_dump_line(line)
+
+
 def test_find_isomorphism_positive_and_negative():
     z3 = c.cyclic_group(3)
     shuffled = _relabel(z3.rows, (2, 0, 1))

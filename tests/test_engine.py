@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,6 +357,42 @@ def test_enumerate_elements_act_like_their_words(small_tables):
                 assert element.apply(prefix) == oracles.word_apply(
                     S.rows, (g,), prefix
                 )
+
+
+def closed_pool(product16):
+    # tables whose letters share columns or act alike on output images
+    return [
+        c.left_zero(3),
+        c.rectangular_band(2, 3),
+        c.example_ijkf(),
+        c.direct_product(c.left_zero(2), c.right_zero(3)),
+        product16,
+    ]
+
+
+def test_enumerate_generators_are_their_canonical_machines(product16):
+    for S in closed_pool(product16):
+        result = c.enumerate_semigroup(S)
+        assert isinstance(result, c.Closed)
+        for g in range(S.order):
+            assert result.elements[result.generator_map[g]] == c.canonicalize(S, (g,))
+
+
+def test_enumerate_products_of_generators_act_like_two_letter_words(product16):
+    rng = random.Random(6)
+    for S in closed_pool(product16):
+        n = S.order
+        result = c.enumerate_semigroup(S)
+        gm = result.generator_map
+        prefixes = list(itertools.product(range(n), repeat=2))
+        prefixes += [tuple(rng.randrange(n) for _ in range(6)) for _ in range(8)]
+        for g in range(n):
+            for h in range(n):
+                element = result.elements[result.cayley[gm[g]][gm[h]]]
+                for prefix in prefixes:
+                    assert element.apply(prefix) == oracles.word_apply(
+                        S.rows, (g, h), prefix
+                    )
 
 
 # count_distinct_words

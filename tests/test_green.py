@@ -16,6 +16,15 @@ def test_green_classes_match_mutual_membership_oracle(small_tables):
         assert oracles.classes_to_pairs(g.d_class) == d
 
 
+def test_green_classes_match_the_oracle_on_an_order_16_product(product16):
+    g = c.green_relations(product16)
+    r, l, h, d = oracles.mutual_membership_green(product16.rows)
+    assert oracles.classes_to_pairs(g.r_class) == r
+    assert oracles.classes_to_pairs(g.l_class) == l
+    assert oracles.classes_to_pairs(g.h_class) == h
+    assert oracles.classes_to_pairs(g.d_class) == d
+
+
 def test_minimal_ideal_matches_intersection_oracle(small_tables):
     for S in small_tables:
         g = c.green_relations(S)

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import pytest
 
 import cayleysg.verify as verify
-from cayleysg import Closed, SizeCapError, cyclic_group, left_zero, run_verify
+from cayleysg import (
+    Closed,
+    SizeCapError,
+    cyclic_group,
+    example_ijkf,
+    left_zero,
+    run_verify,
+)
 from cayleysg.verify import check_table
 
 
@@ -54,6 +62,24 @@ def test_check_table_reports_a_closed_semigroup_that_is_not_h_trivial(monkeypatc
     monkeypatch.setattr(verify, "enumerate_semigroup", lambda S, budget: fake)
     _, disagreements, _ = check_table(left_zero(2))
     assert any(item["check"] == "closed_h_trivial" for item in disagreements)
+
+
+def test_check_table_computes_green_relations_once(monkeypatch):
+    green = importlib.import_module("cayleysg.green")
+    calls = []
+
+    def counted(S):
+        calls.append(S)
+        return green.green_relations(S)
+
+    for name in ("cayleysg.classify", "cayleysg.verify"):
+        module = importlib.import_module(name)
+        if hasattr(module, "green_relations"):
+            monkeypatch.setattr(module, "green_relations", counted)
+    for S in (left_zero(2), cyclic_group(2), example_ijkf()):
+        calls.clear()
+        check_table(S)
+        assert calls == [S]
 
 
 def test_report_round_trips_to_json():
