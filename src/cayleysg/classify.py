@@ -41,7 +41,7 @@ class ClassificationReport:
     is_right_zero: bool
     witnesses: dict
     notes: str
-    green: GreenData | None = field(default=None, compare=False, repr=False)
+    green: GreenData = field(compare=False, repr=False)
 
 
 def classify(S: MulTable) -> ClassificationReport:
@@ -168,15 +168,13 @@ def free_pair_check(
         raise WorkCapError(
             "%d words exceed the work cap %d" % (2 ** (max_len + 1), work_cap)
         )
-    for length, count in enumerate(word_counts(S, (u, v)), 1):
+    # a finite closure stops the counts, a relation at the next length
+    for length, count in zip(range(1, max_len + 1), word_counts(S, (u, v))):
         if count < 2 ** (length + 1) - 2:  # 2 + 4 + ... + 2**length words
             if length == 1:
                 raise ValueError("the two generators coincide as transformations")
             return False
-        if length == max_len:
-            return True
-    # the closure is finite: the length that added nothing is a relation
-    return False
+    return True
 
 
 def report_to_json(report: ClassificationReport) -> dict:

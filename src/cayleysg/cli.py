@@ -25,7 +25,14 @@ from .core import (
     named_family,
 )
 from .corpus import DEDUP_MODES, CorpusSpec, dump_line, generate_tables
-from .engine import WORK_CAP, Closed, act, enumerate_semigroup, word_counts
+from .engine import (
+    WORK_CAP,
+    Closed,
+    WorkCapError,
+    act,
+    enumerate_semigroup,
+    word_counts,
+)
 from .machine import build_cayley_machine, machine_to_dot
 from .tableio import TableParseError, parse_table
 from .verify import run_verify
@@ -138,18 +145,14 @@ def cmd_growth(args) -> int:
     rank = len(set(S.rows))
     print("order %d, %d distinct generator states" % (S.order, rank))
     print("length  distinct  new  free reference")
-    counts = word_counts(S, range(S.order))
-    words = total = previous = 0
+    counts = word_counts(S, range(S.order), args.work_cap)
+    previous = 0
     for length in range(1, args.max_len + 1):
-        words += S.order**length
-        if words > args.work_cap:
-            print(
-                "stopped at length %d: %d words exceed the work cap %d"
-                % (length, words, args.work_cap)
-            )
+        try:
+            total = next(counts)
+        except WorkCapError as err:
+            print("stopped at length %d: %s" % (length, err))
             break
-        # a finite C(S) ends the search early: later lengths add nothing
-        total = next(counts, total)
         free_reference = sum(rank**k for k in range(1, length + 1))
         print("%6d  %8d  %4d  %14d" % (length, total, total - previous, free_reference))
         previous = total

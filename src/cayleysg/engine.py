@@ -27,6 +27,7 @@ grows.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -303,33 +304,33 @@ class BehaviorGraph:
         self.n = S.order
         self.state_cap = state_cap
         # column[x] numbers the distinct table columns in order; behaviors
-        # read the first letter of each, the inputs
+        # read the first letter of each
         first: dict = {}
         self.column = tuple(first.setdefault(col, len(first)) for col in zip(*S.rows))
         inputs = [self.column.index(k) for k in range(len(first))]
-        table = list(map(_picker(inputs), S.rows))
+        table = [tuple(row[x] for x in inputs) for row in S.rows]
         cls, self.out, self.nxt = _minimize(table, table)
         # behavior of the one-letter word (g,) for each element g
         self.generator_state = tuple(cls)
-        self._letter_cache: dict = {}
-        self.letters = [self._letters_of(row) for row in self.out]
+        self._act_reps: dict = {}
+        self.act_rep = [self._act_rep_of(row) for row in self.out]
 
     def __len__(self):
         return len(self.out)
 
-    def _letters_of(self, row):
-        """letters[h] is the first element acting like h on the values of
-        row, so a behavior with this output row followed by the machine of h
-        or of letters[h] is one machine.  Output rows are rows of S, so the
+    def _act_rep_of(self, row):
+        """act_rep[h] is the first element acting like h on the values of
+        row: a behavior with this output row followed by the machine of h or
+        of act_rep[h] is one machine.  Output rows are rows of S, so the
         cache holds at most |S| tuples."""
-        letters = self._letter_cache.get(row)
-        if letters is None:
+        reps = self._act_reps.get(row)
+        if reps is None:
             on_image = itemgetter(*set(row))
             first: dict = {}
-            letters = self._letter_cache[row] = tuple(
+            reps = self._act_reps[row] = tuple(
                 first.setdefault(on_image(row_h), h) for h, row_h in enumerate(self.rows)
             )
-        return letters
+        return reps
 
     def extend(self, seeds):
         """Compose behaviors with one-letter machines and absorb the results.
@@ -339,56 +340,40 @@ class BehaviorGraph:
         'seed behavior followed by the machine of element'.
 
         A pair (c, h) outputs h*y for each output y of c and moves to the
-        pairs (nxt[c][x], h*y), so it is keyed by (c, letters[c][h]), one
-        pair state per distinct machine, and its successors are built once
-        per distinct (successor, output) column of c.
+        pairs (nxt[c][x], h*y), so (c, h) and (c, act_rep[c][h]) are one
+        pair state.
         """
         rows = self.rows
-        out, nxt, letters = self.out, self.nxt, self.letters
-        base = len(out)
+        out, nxt, act_rep = self.out, self.nxt, self.act_rep
+        base = top = len(out)
 
-        # pair_ids[c][h] numbers the pair (c, h) from base on, in the order
+        # pair_ids[c][g] numbers the pair (c, g) from base on, in the order
         # of pair_list
-        pair_ids: dict = {}
+        pair_ids: dict = defaultdict(dict)
         pair_list: list = []
-        # per first component c: the successor states with their pair ids
-        # and letters, the picker of the outputs they read, where each input
-        # goes among them (None if nowhere shared) and the output picker
-        spreads: dict = {}
         seed_ids = []
-        top = base
         for c, h in seeds:
-            h = letters[c][h]
-            pid = pair_ids.setdefault(c, {}).setdefault(h, top)
+            g = act_rep[c][h]
+            pid = pair_ids[c].setdefault(g, top)
             if pid == top:
-                pair_list.append((c, h))
+                pair_list.append((c, g))
                 top += 1
             seed_ids.append(pid)
         pair_out = []
         pair_nxt = []
         for c, h in pair_list:
-            spread = spreads.get(c)
-            if spread is None:
-                first: dict = {}
-                where = [first.setdefault(col, len(first)) for col in zip(nxt[c], out[c])]
-                spread = spreads[c] = (
-                    [(t, pair_ids.setdefault(t, {}), letters[t]) for t, _ in first],
-                    _picker([y for _, y in first]),
-                    None if len(first) == len(where) else where,
-                    _picker(out[c]),
-                )
-            succ, successor_outputs, where, output = spread
             row_h = rows[h]
+            orow = _picker(out[c])(row_h)
             ids = []
-            for (t, ids_t, letters_t), hy in zip(succ, successor_outputs(row_h)):
-                g = letters_t[hy]
-                pid = ids_t.setdefault(g, top)
+            for t, hy in zip(nxt[c], orow):
+                g = act_rep[t][hy]
+                pid = pair_ids[t].setdefault(g, top)
                 if pid == top:
                     pair_list.append((t, g))
                     top += 1
                 ids.append(pid)
-            pair_out.append(output(row_h))
-            pair_nxt.append(tuple(ids) if where is None else tuple(map(ids.__getitem__, where)))
+            pair_out.append(orow)
+            pair_nxt.append(tuple(ids))
             if top > self.state_cap:
                 raise StateCapError(top)
 
@@ -403,7 +388,7 @@ class BehaviorGraph:
                     raise RuntimeError("fresh behavior class %d out of id order" % c)
                 out.append(pair_out[j])
                 nxt.append(tuple(cls[t] for t in pair_nxt[j]))
-                letters.append(self._letters_of(pair_out[j]))
+                act_rep.append(self._act_rep_of(pair_out[j]))
         return [cls[pid] for pid in seed_ids]
 
     def element(self, state: int) -> AutElement:
@@ -475,8 +460,8 @@ def enumerate_semigroup(
     Breadth-first on word length: every element found at the previous depth
     is extended by every generator.  The run is Closed when a depth adds
     nothing new, and Exceeded once more than budget distinct
-    transformations exist.  The table follows the right Cayley graph:
-    a * (p * g) = (a * p) * g.
+    transformations exist.  Row a of the table follows the right Cayley
+    graph: a * (p * g) = (a * p) * g.
     """
     n = S.order
     if budget < n:
@@ -489,23 +474,37 @@ def enumerate_semigroup(
     except StateCapError:
         return Exceeded(len(index), capped=True)
 
-    # column b = p * gens[i] of the table is column p followed by gens[i]
-    by_generator = list(zip(*right))
-    columns: list = []
-    for p, i in parent:
-        step = by_generator[i]
-        columns.append(step if p < 0 else tuple(map(step.__getitem__, columns[p])))
+    cayley = []
+    for a in range(len(parent)):
+        row: list = []
+        for p, i in parent:
+            row.append(right[a if p < 0 else row[p]][i])
+        cayley.append(tuple(row))
     elements = tuple(graph.element(st) for st in index)
-    return Closed(
-        elements, tuple(zip(*columns)), tuple(map(index.get, graph.generator_state))
-    )
+    return Closed(elements, tuple(cayley), tuple(map(index.get, graph.generator_state)))
 
 
-def word_counts(S: MulTable, gens):
+def _check_words(letters: int, length: int, work_cap) -> None:
+    """Raise WorkCapError if the words of length 1..length over the given
+    number of letters, sum of letters**l, are more than work_cap (None: no
+    cap)."""
+    total = sum(letters**l for l in range(1, length + 1))
+    if work_cap is not None and total > work_cap:
+        raise WorkCapError("%d words exceed the work cap %d" % (total, work_cap))
+
+
+def word_counts(S: MulTable, gens, work_cap=None):
     """How many distinct transformations the words over gens of length at
-    most l name, for l = 1, 2, ... until a length adds none."""
-    for index, _, _ in _breadth_first(BehaviorGraph(S), gens):
-        yield len(index)
+    most l name, for l = 1, 2, ...; the count stays put from the first
+    length that adds none.  Raises WorkCapError before a length whose words
+    (sum of len(gens)**l) are more than work_cap."""
+    counts = (len(index) for index, _, _ in _breadth_first(BehaviorGraph(S), gens))
+    total = 0
+    for length in itertools.count(1):
+        _check_words(len(gens), length, work_cap)
+        # a finite closure ends the search: longer words name nothing new
+        total = next(counts, total)
+        yield total
 
 
 def count_distinct_words(S: MulTable, max_len: int, work_cap: int = WORK_CAP) -> int:
@@ -516,8 +515,5 @@ def count_distinct_words(S: MulTable, max_len: int, work_cap: int = WORK_CAP) ->
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    n = S.order
-    total = sum(n**length for length in range(1, max_len + 1))
-    if total > work_cap:
-        raise WorkCapError("%d words exceed the work cap %d" % (total, work_cap))
-    return list(itertools.islice(word_counts(S, range(n)), max_len))[-1]
+    _check_words(S.order, max_len, work_cap)
+    return list(itertools.islice(word_counts(S, range(S.order)), max_len))[-1]
