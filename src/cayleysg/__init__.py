@@ -7,6 +7,8 @@ classify it (trivial, group, finite, free, left or right zero) from the
 table alone, with every answer cross-checkable by brute enumeration.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     SIZE_CAP,
     MalformedTableError,
@@ -31,12 +33,10 @@ from .core import (
 from .green import (
     GreenData,
     InflationWitness,
-    NotClosedError,
     brute_force_inflation,
     green_relations,
     inflation_of_right_zero,
     is_h_trivial,
-    subset_shape,
 )
 from .machine import MealyMachine, build_cayley_machine, machine_to_dot
 from .engine import (
@@ -67,11 +67,14 @@ from .corpus import (
     CorpusSpec,
     canonical_form,
     dump_line,
-    find_isomorphism,
     generate_tables,
     load_dump_line,
 )
 from .tableio import TableParseError, format_table, parse_table
 from .verify import VerifyReport, check_table, run_verify
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import MulTable
-from .engine import WorkCapError, word_counts
+from .engine import _check_words, word_counts
 from .green import GreenData, green_relations, inflation_of_right_zero
 
 
@@ -99,8 +99,8 @@ def classify(S: MulTable) -> ClassificationReport:
 
     if len(kernel) == 1:
         notes.append(
-            "minimal ideal is a single idempotent; subset_shape reports"
-            " singletons as right_zero by convention"
+            "minimal ideal is a single idempotent; a singleton is a group and"
+            " a left and right zero semigroup at once"
         )
     if inflation:
         notes.append(
@@ -158,16 +158,12 @@ def free_pair_check(
     ValueError otherwise).  True is evidence of freeness up to the window,
     not a proof; False exhibits a genuine relation.
     """
-    n = S.order
     for g in (u, v):
-        if not 0 <= g < n:
+        if not 0 <= g < S.order:
             raise ValueError("element %d out of range" % g)
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    if 2 ** (max_len + 1) > work_cap:
-        raise WorkCapError(
-            "%d words exceed the work cap %d" % (2 ** (max_len + 1), work_cap)
-        )
+    _check_words(2, max_len, work_cap)
     # a finite closure stops the counts, a relation at the next length
     for length, count in zip(range(1, max_len + 1), word_counts(S, (u, v))):
         if count < 2 ** (length + 1) - 2:  # 2 + 4 + ... + 2**length words
@@ -179,31 +175,6 @@ def free_pair_check(
 
 def report_to_json(report: ClassificationReport) -> dict:
     """JSON-ready dict with 1-based element indices throughout."""
-
-    def shift(seq):
-        return [x + 1 for x in seq]
-
-    witnesses: dict = {}
-    for key, value in report.witnesses.items():
-        if key == "minimal_ideal":
-            witnesses[key] = shift(value)
-        elif key == "inflation":
-            witnesses[key] = {
-                "targets": shift(value["targets"]),
-                "classes": [shift(c) for c in value["classes"]],
-            }
-        elif key == "free":
-            witnesses[key] = {
-                "connector": value["connector"] + 1,
-                "h_class": shift(value["h_class"]),
-            }
-        elif key == "infinite":
-            witnesses[key] = {
-                "h_class": shift(value["h_class"]),
-                "stabilizer": shift(value["stabilizer"]),
-            }
-        else:
-            witnesses[key] = value
     return {
         "is_trivial": report.is_trivial,
         "is_group": report.is_group,
@@ -212,6 +183,15 @@ def report_to_json(report: ClassificationReport) -> dict:
         "free_rank": report.free_rank,
         "is_left_zero": report.is_left_zero,
         "is_right_zero": report.is_right_zero,
-        "witnesses": witnesses,
+        "witnesses": _shifted(report.witnesses),
         "notes": report.notes,
     }
+
+
+def _shifted(value):
+    """The witness with every element index, however nested, made 1-based."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, dict):
+        return {key: _shifted(item) for key, item in value.items()}
+    return [_shifted(item) for item in value]

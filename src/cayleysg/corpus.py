@@ -1,4 +1,4 @@
-"""Exhaustive streams of small multiplication tables.
+"""Small multiplication tables: exhaustive streams, canonical forms, dumps.
 
 generate_tables fills the n x n table cell by cell, pruning with every
 associativity instance whose four lookups are already determined; complete
@@ -165,63 +165,3 @@ def load_dump_line(line: str) -> MulTable:
         raise MalformedTableError("non-integer entry in %r" % line.strip())
     return make_table(rows)
 
-
-def find_isomorphism(rows_a, rows_b):
-    """A bijection p with p(x*y) = p(x)*p(y), or None.
-
-    Backtracking over images, pruning with relabeling-invariant signatures
-    (idempotency, occurrence counts, distinct values per row and column).
-    """
-    n = len(rows_a)
-    if len(rows_b) != n:
-        return None
-
-    def signature(rows, x):
-        occurrences = sum(row.count(x) for row in rows)
-        row_values = len(set(rows[x]))
-        col_values = len({rows[y][x] for y in range(n)})
-        return (rows[x][x] == x, occurrences, row_values, col_values)
-
-    sig_a = [signature(rows_a, x) for x in range(n)]
-    sig_b = [signature(rows_b, x) for x in range(n)]
-    if sorted(sig_a) != sorted(sig_b):
-        return None
-
-    image = [-1] * n
-    used = [False] * n
-
-    def compatible(x):
-        for y in range(n):
-            if image[y] < 0:
-                continue
-            xy = rows_a[x][y]
-            yx = rows_a[y][x]
-            if image[xy] >= 0 and rows_b[image[x]][image[y]] != image[xy]:
-                return False
-            if image[yx] >= 0 and rows_b[image[y]][image[x]] != image[yx]:
-                return False
-        return True
-
-    def assign(x):
-        if x == n:
-            # compatible() only sees pairs whose product is already placed,
-            # so confirm the finished map on every pair.
-            return all(
-                rows_b[image[a]][image[b]] == image[rows_a[a][b]]
-                for a in range(n)
-                for b in range(n)
-            )
-        for candidate in range(n):
-            if used[candidate] or sig_b[candidate] != sig_a[x]:
-                continue
-            image[x] = candidate
-            used[candidate] = True
-            if compatible(x) and assign(x + 1):
-                return True
-            image[x] = -1
-            used[candidate] = False
-        return False
-
-    if assign(0):
-        return tuple(image)
-    return None

@@ -1,4 +1,4 @@
-"""Green's relations, the minimal ideal, and shape tests for subsets.
+"""Green's relations, the minimal ideal, and the inflation tests.
 
 All computations go through principal ideals of the table: aS^1, S^1a and
 S^1aS^1 as frozensets.  For finite semigroups the D relation coincides with
@@ -15,19 +15,6 @@ from .core import MulTable, SizeCapError
 
 # brute_force_inflation searches all partitions; keep it tiny.
 BRUTE_FORCE_CAP = 6
-
-
-class NotClosedError(ValueError):
-    """The subset is not closed under the product; ``pair`` is a witness."""
-
-    def __init__(self, pair, product):
-        self.pair = pair
-        self.product = product
-        a, b = pair
-        super().__init__(
-            "subset not closed: %d * %d = %d lies outside (1-based)"
-            % (a + 1, b + 1, product + 1)
-        )
 
 
 @dataclass(frozen=True)
@@ -111,51 +98,6 @@ def green_relations(S: MulTable) -> GreenData:
 def is_h_trivial(S: MulTable) -> bool:
     """True iff every H-class is a singleton."""
     return len(set(zip(*_one_sided_ideals(S.rows)))) == S.order
-
-
-def _as_subset(S, subset):
-    members = sorted(set(subset))
-    if not members:
-        raise ValueError("empty subset")
-    for a in members:
-        if not 0 <= a < S.order:
-            raise ValueError("element %d out of range" % a)
-    return members
-
-
-def subset_shape(S: MulTable, subset) -> str:
-    """Classify a product-closed subset of S.
-
-    Returns one of 'group', 'left_zero', 'right_zero', 'null',
-    'rectangular_band' or 'other', testing the most specific shape first.
-    A singleton subsemigroup fits every shape at once and is reported as
-    'right_zero' by convention.  Raises NotClosedError when some product
-    leaves the subset.
-    """
-    members = _as_subset(S, subset)
-    rows = S.rows
-    inside = set(members)
-    for a in members:
-        for b in members:
-            if rows[a][b] not in inside:
-                raise NotClosedError((a, b), rows[a][b])
-
-    if len(members) == 1:
-        return "right_zero"
-    if group_identity(rows, members) is not None:
-        return "group"
-    if all(rows[a][b] == a for a in members for b in members):
-        return "left_zero"
-    if all(rows[a][b] == b for a in members for b in members):
-        return "right_zero"
-    products = {rows[a][b] for a in members for b in members}
-    if len(products) == 1:
-        return "null"
-    if all(
-        rows[a][a] == a and rows[rows[a][b]][a] == a for a in members for b in members
-    ):
-        return "rectangular_band"
-    return "other"
 
 
 def group_identity(rows, members):

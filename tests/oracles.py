@@ -2,9 +2,11 @@
 
 Everything here is written directly from definitions, on purpose not
 sharing code with the package: naive associativity filtering, literal
-machine runs for word semantics, mutual-membership Green relations and
-closure-computed ideals.  Frozen constants in the tests were produced by
-these oracles and are asserted against both routes.
+machine runs for word semantics, mutual-membership Green relations,
+closure-computed ideals, a backtracking isomorphism search between tables
+and the shape (group, left or right zero, null, rectangular band) of a
+closed subset.  Frozen constants in the tests were produced by these
+oracles and are asserted against both routes.
 """
 
 from __future__ import annotations
@@ -116,3 +118,129 @@ def classes_to_pairs(ids):
     """Turn per-element class ids into the set of related pairs."""
     n = len(ids)
     return {(a, b) for a in range(n) for b in range(n) if ids[a] == ids[b]}
+
+
+def find_isomorphism(rows_a, rows_b):
+    """A bijection p with p(x*y) = p(x)*p(y), or None.
+
+    Backtracking over images, pruning with relabeling-invariant signatures
+    (idempotency, occurrence counts, distinct values per row and column).
+    """
+    n = len(rows_a)
+    if len(rows_b) != n:
+        return None
+
+    def signature(rows, x):
+        occurrences = sum(row.count(x) for row in rows)
+        row_values = len(set(rows[x]))
+        col_values = len({rows[y][x] for y in range(n)})
+        return (rows[x][x] == x, occurrences, row_values, col_values)
+
+    sig_a = [signature(rows_a, x) for x in range(n)]
+    sig_b = [signature(rows_b, x) for x in range(n)]
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+
+    image = [-1] * n
+    used = [False] * n
+
+    def compatible(x):
+        for y in range(n):
+            if image[y] < 0:
+                continue
+            xy = rows_a[x][y]
+            yx = rows_a[y][x]
+            if image[xy] >= 0 and rows_b[image[x]][image[y]] != image[xy]:
+                return False
+            if image[yx] >= 0 and rows_b[image[y]][image[x]] != image[yx]:
+                return False
+        return True
+
+    def assign(x):
+        if x == n:
+            # compatible() only sees pairs whose product is already placed,
+            # so confirm the finished map on every pair.
+            return all(
+                rows_b[image[a]][image[b]] == image[rows_a[a][b]]
+                for a in range(n)
+                for b in range(n)
+            )
+        for candidate in range(n):
+            if used[candidate] or sig_b[candidate] != sig_a[x]:
+                continue
+            image[x] = candidate
+            used[candidate] = True
+            if compatible(x) and assign(x + 1):
+                return True
+            image[x] = -1
+            used[candidate] = False
+        return False
+
+    if assign(0):
+        return tuple(image)
+    return None
+
+
+class NotClosedError(ValueError):
+    """The subset is not closed under the product; ``pair`` is a witness."""
+
+    def __init__(self, pair, product):
+        self.pair = pair
+        self.product = product
+        a, b = pair
+        super().__init__(
+            "subset not closed: %d * %d = %d lies outside (1-based)"
+            % (a + 1, b + 1, product + 1)
+        )
+
+
+def subset_shape(S, subset):
+    """Classify a product-closed subset of the table S (anything with
+    ``rows``).
+
+    Returns one of 'group', 'left_zero', 'right_zero', 'null',
+    'rectangular_band' or 'other', testing the most specific shape first.
+    A singleton subsemigroup fits every shape at once and is reported as
+    'right_zero' by convention.  Raises NotClosedError when some product
+    leaves the subset, ValueError when the subset is empty or out of range.
+    """
+    rows = S.rows
+    members = sorted(set(subset))
+    if not members:
+        raise ValueError("empty subset")
+    for a in members:
+        if not 0 <= a < len(rows):
+            raise ValueError("element %d out of range" % a)
+    inside = set(members)
+    for a in members:
+        for b in members:
+            if rows[a][b] not in inside:
+                raise NotClosedError((a, b), rows[a][b])
+
+    if len(members) == 1:
+        return "right_zero"
+    if _is_group(rows, members):
+        return "group"
+    if all(rows[a][b] == a for a in members for b in members):
+        return "left_zero"
+    if all(rows[a][b] == b for a in members for b in members):
+        return "right_zero"
+    products = {rows[a][b] for a in members for b in members}
+    if len(products) == 1:
+        return "null"
+    if all(
+        rows[a][a] == a and rows[rows[a][b]][a] == a for a in members for b in members
+    ):
+        return "rectangular_band"
+    return "other"
+
+
+def _is_group(rows, members):
+    """True iff (members, *) has an identity and every member an inverse."""
+    for e in members:
+        if all(rows[e][x] == x and rows[x][e] == x for x in members):
+            return all(
+                any(rows[x][y] == e and rows[y][x] == e for y in members)
+                for x in members
+            )
+    return False

@@ -152,6 +152,17 @@ def test_free_pair_check_cases():
         c.free_pair_check(z2, 0, 1, 30)
 
 
+def test_free_pair_check_caps_the_words_it_compares():
+    # lengths 1..3 over two letters are 2 + 4 + 8 = 14 words
+    assert c.free_pair_check(c.cyclic_group(2), 0, 1, 3, work_cap=14)
+    with pytest.raises(c.WorkCapError) as err:
+        c.free_pair_check(c.cyclic_group(2), 0, 1, 3, work_cap=13)
+    assert str(err.value) == "14 words exceed the work cap 13"
+    with pytest.raises(c.WorkCapError) as same:
+        c.count_distinct_words(c.cyclic_group(2), 3, work_cap=13)
+    assert str(same.value) == str(err.value)
+
+
 def test_free_pair_check_is_false_when_the_closure_is_finite():
     # the search ends at the first length that adds nothing; that is a relation
     S = c.example_ijkf()
