@@ -46,7 +46,6 @@ class ClassificationReport:
 
 def classify(S: MulTable) -> ClassificationReport:
     rows = S.rows
-    n = S.order
     green = green_relations(S)
     witnesses: dict = {"minimal_ideal": green.minimal_ideal}
     notes = []
@@ -58,38 +57,26 @@ def classify(S: MulTable) -> ClassificationReport:
             "classes": inflation_witness.classes,
         }
 
-    finite = max(green.h_class) + 1 == n
+    finite = max(green.h_class) + 1 == S.order
 
     kernel = green.minimal_ideal
-    kernel_set = set(kernel)
-    free_rank = None
-    single_r = len({green.r_class[a] for a in kernel}) == 1
-    h_sizes = [len(green.h_class_of(a)) for a in kernel]
+    # K is one D-class, so its H-classes all have one size (Green's lemma)
+    kernel_h = green.h_class_of(kernel[0])
     connector = None
-    if single_r and all(size > 1 for size in h_sizes):
-        for k in kernel:
-            if all(
-                rows[rows[s][k]][t] == rows[s][t] for s in range(n) for t in range(n)
-            ):
-                connector = k
-                break
+    if len({green.r_class[a] for a in kernel}) == 1 and len(kernel_h) > 1:
+        # s*k*t = s*t for all s, t says that row s*k is row s
+        connector = next(
+            (k for k in kernel if all(rows[row[k]] == row for row in rows)), None
+        )
     is_free = connector is not None
+    free_rank = len(kernel_h) if is_free else None
     if is_free:
-        free_rank = len(green.h_class_of(kernel[0]))
-        witnesses["free"] = {
-            "connector": connector,
-            "h_class": green.h_class_of(kernel[0]),
-        }
+        witnesses["free"] = {"connector": connector, "h_class": kernel_h}
 
-    is_right_zero = all(
-        rows[rows[a][b]][c] == rows[a][c]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
+    # a*b*c = a*c for all a, b, c says that every row a*b is row a
+    is_right_zero = all(rows[ab] == row for row in rows for ab in row)
 
-    squares = {rows[a][b] for a in range(n) for b in range(n)}
-    is_left_zero = squares == kernel_set and all(
+    is_left_zero = set().union(*rows) == set(kernel) and all(
         rows[a][b] == b for a in kernel for b in kernel
     )
 

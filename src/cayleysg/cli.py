@@ -17,15 +17,10 @@ import json
 import sys
 
 from .classify import classify, report_to_json
-from .core import (
-    MalformedTableError,
-    NotAssociativeError,
-    SizeCapError,
-    UnknownFamilyError,
-    named_family,
-)
+from .core import NotAssociativeError, named_family
 from .corpus import DEDUP_MODES, CorpusSpec, dump_line, generate_tables
 from .engine import (
+    DEFAULT_BUDGET,
     WORK_CAP,
     Closed,
     WorkCapError,
@@ -72,9 +67,12 @@ def load_input(token: str):
 def _write(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as err:
+        raise ValueError("cannot write %r: %s" % (path, err))
 
 
 def _parse_letters(raw: str, what: str):
@@ -176,10 +174,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    lines = []
-    for S in generate_tables(CorpusSpec(args.order, args.dedup)):
-        lines.append(dump_line(S))
-    _write(args.out, "".join(line + "\n" for line in lines))
+    tables = generate_tables(CorpusSpec(args.order, args.dedup))
+    _write(args.out, "".join(dump_line(S) + "\n" for S in tables))
     return 0
 
 
@@ -201,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate the generated semigroup")
     p.add_argument("input")
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("act", help="apply the transformation of a word to a prefix")
@@ -221,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check classifier and engine on a corpus")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--free-len", type=int, default=4)
     p.add_argument("--dedup", choices=DEDUP_MODES, default="up_to_iso_anti")
     p.add_argument("--out", default=None, help="report path (default stdout)")
@@ -244,13 +240,7 @@ def main(argv=None) -> int:
     except NotAssociativeError as err:
         print("error: %s" % err, file=sys.stderr)
         return ASSOCIATIVITY_ERROR
-    except (
-        TableParseError,
-        MalformedTableError,
-        UnknownFamilyError,
-        SizeCapError,
-        ValueError,
-    ) as err:
+    except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return PARSE_ERROR
 

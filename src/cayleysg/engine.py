@@ -116,8 +116,8 @@ def act(S: MulTable, word, prefix):
     for x in prefix:
         if not 0 <= x < S.order:
             raise ValueError("letter %r out of range" % (x,))
-        out.append(rows[_first_letter_multiplier(S, word)][x])
         word = _section(rows, word, x)
+        out.append(word[-1])
     return tuple(out)
 
 
@@ -138,7 +138,7 @@ def equal(S: MulTable, u, v) -> bool:
     stack = [(u, v)]
     while stack:
         a, b = stack.pop()
-        if (a, b) in seen:
+        if a == b or (a, b) in seen:
             continue
         seen.add((a, b))
         if rows[_first_letter_multiplier(S, a)] != rows[_first_letter_multiplier(S, b)]:
@@ -299,9 +299,7 @@ class BehaviorGraph:
     """
 
     def __init__(self, S: MulTable, state_cap: int = STATE_CAP):
-        self.S = S
         self.rows = S.rows
-        self.n = S.order
         self.state_cap = state_cap
         # column[x] numbers the distinct table columns in order; behaviors
         # read the first letter of each

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 from .classify import classify, free_pair_check
 from .corpus import ENUMERATION_CAP, CorpusSpec, dump_line, generate_tables
-from .engine import Closed, count_distinct_words, enumerate_semigroup
+from .engine import (
+    DEFAULT_BUDGET,
+    WORK_CAP,
+    Closed,
+    _check_words,
+    count_distinct_words,
+    enumerate_semigroup,
+)
 from .green import brute_force_inflation, group_identity, is_h_trivial
 from .core import MulTable, SizeCapError
 
@@ -50,7 +57,7 @@ class VerifyReport:
         }
 
 
-def check_table(S: MulTable, budget: int = 10_000, free_len: int = 4):
+def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
     """All engine cross-checks for one table.
 
     Returns (passed, disagreements, inconclusive) where disagreements and
@@ -153,17 +160,20 @@ def check_table(S: MulTable, budget: int = 10_000, free_len: int = 4):
 
 def run_verify(
     max_order: int,
-    budget: int = 10_000,
+    budget: int = DEFAULT_BUDGET,
     free_len: int = 4,
     dedup: str = "up_to_iso_anti",
     progress=None,
 ) -> VerifyReport:
     """Check every table of order 1..max_order (one per dedup class); an
-    order above the corpus cap or below 1, or free_len below 1, raises first."""
+    order above the corpus cap or below 1, free_len below 1, or a free_len
+    the work cap cannot serve raises first."""
     if max_order > ENUMERATION_CAP:
         raise SizeCapError("order %d exceeds cap %d" % (max_order, ENUMERATION_CAP))
     if max_order < 1 or free_len < 1:
         raise ValueError("max_order and free_len must be positive")
+    if max_order >= 2:  # cyclic_group(max_order) is in the corpus and free
+        _check_words(max_order, free_len, WORK_CAP)
     start = time.perf_counter()
     tables_checked = 0
     checks_passed = 0

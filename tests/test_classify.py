@@ -8,6 +8,23 @@ from hypothesis import given, settings, strategies as st
 import cayleysg as c
 
 
+def test_shape_predicates_match_the_engine_above_order_4(product16):
+    # the closed C(S) is a left (right) zero semigroup iff every product
+    # a*b is a (b)
+    for S in (
+        product16,
+        c.direct_product(c.example_ijkf(), c.right_zero(3)),
+        c.rectangular_band(2, 3),
+    ):
+        report = c.classify(S)
+        result = c.enumerate_semigroup(S)
+        assert isinstance(result, c.Closed)
+        rows = result.cayley
+        cells = [(a, b) for a in range(len(rows)) for b in range(len(rows))]
+        assert report.is_left_zero == all(rows[a][b] == a for a, b in cells)
+        assert report.is_right_zero == all(rows[a][b] == b for a, b in cells)
+
+
 def test_example_ijkf_report():
     report = c.classify(c.example_ijkf())
     assert not report.is_trivial

@@ -229,6 +229,7 @@ def test_growth_profile_builds_one_behavior_graph(capsys, monkeypatch):
         ["verify", "--max-order", "5"],
         ["growth", "family:cyclic_group:2", "--work-cap", "-5"],
         ["growth", "family:cyclic_group:2", "--max-len", "0"],
+        ["verify", "--max-order", "4", "--free-len", "9"],
     ],
 )
 def test_out_of_range_lengths_orders_and_caps_exit_2(capsys, argv):
@@ -236,6 +237,22 @@ def test_out_of_range_lengths_orders_and_caps_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["machine", "family:left_zero:2", "--dot"],
+        ["corpus", "--order", "1", "--out"],
+        ["verify", "--max-order", "1", "--out"],
+    ],
+)
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %r:" % path)
 
 
 def test_growth_profile_rejects_unknown_family(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 
@@ -152,6 +153,20 @@ def test_equal_frozen_cases():
     rz = c.right_zero(2)
     assert c.equal(rz, (0,), (1,))
     assert c.equal(rz, (0,), (0, 1))
+
+
+def test_equal_passes_identical_words_without_sections(monkeypatch):
+    engine = importlib.import_module("cayleysg.engine")
+    calls = []
+    section = engine._section
+
+    def counted(*args):
+        calls.append(args)
+        return section(*args)
+
+    monkeypatch.setattr(engine, "_section", counted)
+    assert c.equal(c.cyclic_group(8), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
+    assert calls == []
 
 
 def test_one_letter_words_equal_iff_rows_equal(small_tables):

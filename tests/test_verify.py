@@ -9,6 +9,7 @@ import cayleysg.verify as verify
 from cayleysg import (
     Closed,
     SizeCapError,
+    WorkCapError,
     cyclic_group,
     example_ijkf,
     left_zero,
@@ -113,6 +114,15 @@ def test_run_verify_rejects_an_order_above_the_cap_before_any_table():
     seen = []
     with pytest.raises(SizeCapError):
         run_verify(5, progress=lambda order, count: seen.append((order, count)))
+    assert seen == []
+
+
+def test_run_verify_rejects_a_free_len_above_the_work_cap_before_any_table():
+    seen = []
+    with pytest.raises(WorkCapError):
+        run_verify(
+            4, free_len=9, progress=lambda order, count: seen.append((order, count))
+        )
     assert seen == []
 
 
