@@ -7,7 +7,9 @@ JSON output are 1-based.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 a well-formed
 table that is not associative, 4 a verify run that found disagreements
-(including a closed C(S) that is not H-trivial).
+(including a closed C(S) that is not H-trivial), 5 a run that hit a
+resource limit (the work cap, the behavior graph's state cap or the section
+closure cap).
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .corpus import DEDUP_MODES, CorpusSpec, dump_line, generate_tables
 from .engine import (
     DEFAULT_BUDGET,
     WORK_CAP,
+    ClosureCapError,
     Closed,
+    StateCapError,
     WorkCapError,
     act,
     enumerate_semigroup,
@@ -35,6 +39,7 @@ from .verify import run_verify
 PARSE_ERROR = 2
 ASSOCIATIVITY_ERROR = 3
 DISAGREEMENT = 4
+RESOURCE_LIMIT = 5
 
 
 def load_input(token: str):
@@ -240,6 +245,9 @@ def main(argv=None) -> int:
     except NotAssociativeError as err:
         print("error: %s" % err, file=sys.stderr)
         return ASSOCIATIVITY_ERROR
+    except (WorkCapError, StateCapError, ClosureCapError) as err:
+        print("error: %s" % err, file=sys.stderr)
+        return RESOURCE_LIMIT
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return PARSE_ERROR

@@ -187,26 +187,55 @@ class AutElement:
         return tuple(out)
 
 
-def _refine(out_rows, nxt_rows):
+def _refine(out_rows, nxt_rows, established=0):
     """Classes of machine states under behavioral equivalence.
 
     Moore refinement: start from the partition by output rows, split by
-    successor classes until the class count stops growing.  Returns
-    per-state class ids numbered by first occurrence in state order.
+    successor classes until no class splits.  Returns per-state class ids
+    numbered by first occurrence in state order.
+
+    The states below established must be pairwise inequivalent; they keep
+    their ids.  After each pass, an established state whose class holds no
+    later state is alone in its class for good (blocks only split), so it
+    takes the unique tag -1 - s and leaves the passes; the tag is its exact
+    class, so states pointing at it still split correctly.
     """
+    k = established
     ids: dict = {}
     cls = [ids.setdefault(row, len(ids)) for row in out_rows]
     count = len(ids)
+    live = range(k)  # established states still in the passes
+    later, later_nxt = cls[k:], nxt_rows[k:]
+    get = cls.__getitem__
     while True:
         ids = {}
-        get = cls.__getitem__
-        cls = [
+        if live:
+            est = [ids.setdefault((cls[s], *map(get, nxt_rows[s])), len(ids)) for s in live]
+        later = [
             ids.setdefault((c, *map(get, nxt)), len(ids))
-            for c, nxt in zip(cls, nxt_rows)
+            for c, nxt in zip(later, later_nxt)
         ]
         if len(ids) == count:
-            return cls
+            break
         count = len(ids)
+        cls[k:] = later
+        if live:
+            shared = set(later)
+            kept = []
+            for s, c in zip(live, est):
+                if c in shared:
+                    cls[s] = c
+                    kept.append(s)
+                else:
+                    cls[s] = -1 - s
+            live = kept
+            count = len(shared)
+    if not k:
+        return cls
+    # the live established states are alone in their classes, so the last
+    # pass numbered them 0..len(live)-1; fresh classes follow from k on
+    state_of = [*live, *range(k, k + count - len(live))]
+    return [*range(k), *map(state_of.__getitem__, later)]
 
 
 def _minimize(out_rows, nxt_rows):
@@ -288,10 +317,11 @@ class BehaviorGraph:
     """A growing minimized machine holding every behavior seen so far.
 
     States are pairwise distinct transformations.  extend() composes
-    existing behaviors with one-letter machines and merges the results in,
-    minimizing globally; established state ids never change because
-    established states are pairwise inequivalent and the class numbering
-    follows first occurrence.
+    existing behaviors with one-letter machines and merges the results in
+    by refining the new pair states against the established states, which
+    leave the refinement once no pair state shares their class;
+    established state ids never change because established states are
+    pairwise inequivalent and fresh classes follow in first occurrence.
 
     Input letters with equal table columns (a*x == a*x' for every a) act
     alike in every behavior, so states read only the first letter of each
@@ -375,7 +405,7 @@ class BehaviorGraph:
             if top > self.state_cap:
                 raise StateCapError(top)
 
-        cls = _refine(out + pair_out, nxt + pair_nxt)
+        cls = _refine(out + pair_out, nxt + pair_nxt, base)
         # established behaviors are pairwise distinct, fresh classes follow in id order
         if cls[:base] != list(range(base)):
             raise RuntimeError("refinement renumbered an established behavior")

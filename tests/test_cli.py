@@ -229,7 +229,6 @@ def test_growth_profile_builds_one_behavior_graph(capsys, monkeypatch):
         ["verify", "--max-order", "5"],
         ["growth", "family:cyclic_group:2", "--work-cap", "-5"],
         ["growth", "family:cyclic_group:2", "--max-len", "0"],
-        ["verify", "--max-order", "4", "--free-len", "9"],
     ],
 )
 def test_out_of_range_lengths_orders_and_caps_exit_2(capsys, argv):
@@ -237,6 +236,29 @@ def test_out_of_range_lengths_orders_and_caps_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_a_free_length_past_the_work_cap_exits_5(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "4", "--free-len", "9")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error:") and "work cap" in err
+
+
+@pytest.mark.parametrize(
+    "error", [c.StateCapError(60), c.ClosureCapError(10), c.WorkCapError("cap")]
+)
+def test_resource_limits_exit_5(capsys, monkeypatch, error):
+    cli = importlib.import_module("cayleysg.cli")
+
+    def hit_the_limit(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "enumerate_semigroup", hit_the_limit)
+    code, out, err = run(capsys, "enumerate", "family:cyclic_group:2")
+    assert code == 5
+    assert out == ""
+    assert err == "error: %s\n" % error
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cayleysg as c
+import cayleysg.engine as engine
 import oracles
 
 
@@ -313,21 +314,69 @@ def test_extend_rejects_a_refinement_that_breaks_state_ids(monkeypatch):
     graph.extend([(0, 0), (0, 1)])
     assert len(graph) > 2
 
-    def swap_first_two(out_rows, nxt_rows):
-        cls = refine(out_rows, nxt_rows)
+    def swap_first_two(*args):
+        cls = refine(*args)
         return [{0: 1, 1: 0}.get(k, k) for k in cls]
 
     monkeypatch.setattr(engine, "_refine", swap_first_two)
     with pytest.raises(RuntimeError):
         graph.extend([(1, 0)])
 
-    def skip_an_id(out_rows, nxt_rows):
-        cls = refine(out_rows, nxt_rows)
+    def skip_an_id(*args):
+        cls = refine(*args)
         return [k if k < len(graph) else k + 1 for k in cls]
 
     monkeypatch.setattr(engine, "_refine", skip_an_id)
     with pytest.raises(RuntimeError):
         graph.extend([(s, g) for s in range(len(graph)) for g in (0, 1)])
+
+
+@st.composite
+def machines_over_a_minimal_prefix(draw):
+    """Output rows, successor rows and k: the first k states are a minimal
+    machine, and the later states read its rows and point anywhere."""
+    letters = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, 2)] * letters)
+    m = draw(st.integers(0, 8))
+    out = draw(st.lists(row, min_size=m, max_size=m))
+    nxt = [draw(st.tuples(*[st.integers(0, m - 1)] * letters)) for _ in range(m)]
+    _, out, nxt = engine._minimize(out, nxt)
+    k = len(out)
+    later = draw(st.integers(0 if k else 1, 8))
+    if k:
+        row = st.one_of(row, st.sampled_from(out))
+    out += draw(st.lists(row, min_size=later, max_size=later))
+    nxt += [draw(st.tuples(*[st.integers(0, k + later - 1)] * letters)) for _ in range(later)]
+    return out, nxt, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(machines_over_a_minimal_prefix())
+@example(([(0,), (1,), (0,)], [(1,), (0,), (1,)], 0))
+@example(([(0,), (1,)], [(1,), (0,)], 2))
+def test_refine_over_established_states_matches_plain_refinement(machine):
+    out, nxt, k = machine
+    assert engine._refine(out, nxt, k) == engine._refine(out, nxt)
+    assert engine._refine(out[:k], nxt[:k], k) == list(range(k))
+
+
+def test_extend_matches_every_product_of_a_closed_search(product16):
+    # every pair state equals an established behavior: the match path
+    for S in (c.example_ijkf(), product16):
+        result = c.enumerate_semigroup(S)
+        assert isinstance(result, c.Closed)
+        graph = engine.BehaviorGraph(S)
+        for index, _, _ in engine._breadth_first(graph, range(S.order)):
+            pass
+        states = list(index)
+        size = len(graph)
+        found = graph.extend([(state, g) for state in states for g in range(S.order)])
+        assert found == [
+            states[row[result.generator_map[g]]]
+            for row in result.cayley
+            for g in range(S.order)
+        ]
+        assert len(graph) == size
 
 
 def test_enumerate_is_deterministic():
