@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import MulTable
-from .engine import _check_words, word_counts
+from .engine import WORK_CAP, _check_words, word_counts
 from .green import GreenData, green_relations, inflation_of_right_zero
 
 
@@ -135,7 +135,7 @@ def _infinite_witness(S: MulTable, green):
 
 
 def free_pair_check(
-    S: MulTable, u: int, v: int, max_len: int = 4, work_cap: int = 1 << 20
+    S: MulTable, u: int, v: int, max_len: int = 4, work_cap: int = WORK_CAP
 ) -> bool:
     """Check that the transformations of u and v satisfy no relation among
     words of length up to max_len, i.e. all 2**l words of each length l
@@ -143,7 +143,8 @@ def free_pair_check(
 
     The two generators must already be distinct as transformations (raises
     ValueError otherwise).  True is evidence of freeness up to the window,
-    not a proof; False exhibits a genuine relation.
+    not a proof; False exhibits a genuine relation.  Raises WorkCapError
+    when the words, sum of 2**l for l = 1..max_len, are more than work_cap.
     """
     for g in (u, v):
         if not 0 <= g < S.order:

@@ -33,7 +33,7 @@ from .engine import (
     word_counts,
 )
 from .machine import build_cayley_machine, machine_to_dot
-from .tableio import TableParseError, parse_table
+from .tableio import TableParseError, parse_natural, parse_table
 from .verify import run_verify
 
 PARSE_ERROR = 2
@@ -50,7 +50,7 @@ def load_input(token: str):
         params = []
         if len(parts) > 2 and parts[2]:
             try:
-                params = [int(p) for p in parts[2].split(",")]
+                params = [parse_natural(p) for p in parts[2].split(",")]
             except ValueError:
                 raise TableParseError("bad family parameters in %r" % token)
         if len(parts) > 3:
@@ -84,9 +84,9 @@ def _parse_letters(raw: str, what: str):
     if raw == "":
         return ()
     try:
-        values = [int(p) for p in raw.split(",")]
+        values = [parse_natural(p) for p in raw.split(",")]
     except ValueError:
-        raise TableParseError("bad %s %r, expected comma separated integers" % (what, raw))
+        raise TableParseError("bad %s %r, expected comma separated numerals" % (what, raw))
     if any(v < 1 for v in values):
         raise TableParseError("%s entries are 1-based, got %r" % (what, raw))
     return tuple(v - 1 for v in values)

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import MalformedTableError, MulTable, SizeCapError, make_table
+from .tableio import parse_natural
 
 # Full enumeration is only sane for tiny orders; canonical forms go a bit
 # further since they only pay n! per call.
@@ -153,14 +154,18 @@ def dump_line(S: MulTable) -> str:
 
 def load_dump_line(line: str) -> MulTable:
     """Inverse of dump_line; the declared order must equal the row count
-    and every entry must be an integer."""
+    and every entry must be an ASCII numeral, as in a table file."""
     order, *parts = line.strip().split(";")
-    if not (order.isdecimal() and int(order) == len(parts) > 0):
+    try:
+        declared = parse_natural(order) == len(parts) > 0
+    except ValueError:
+        declared = False
+    if not declared:
         raise MalformedTableError(
             "declared order %r but got %d rows" % (order, len(parts))
         )
     try:
-        rows = [[int(v) - 1 for v in part.split()] for part in parts]
+        rows = [[parse_natural(v) - 1 for v in part.split()] for part in parts]
     except ValueError:
         raise MalformedTableError("non-integer entry in %r" % line.strip())
     return make_table(rows)

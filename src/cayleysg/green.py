@@ -1,9 +1,10 @@
 """Green's relations, the minimal ideal, and the inflation tests.
 
-All computations go through principal ideals of the table: aS^1, S^1a and
-S^1aS^1 as frozensets.  For finite semigroups the D relation coincides with
-the two-sided ideal relation J, which is what is computed here; tests check
-it against the join of R and L independently.
+All computations go through principal ideals of the table: aS^1 is row a
+with a, S^1a is column a with a, and S^1aS^1 is the union of the right
+ideals over S^1a.  For finite semigroups the D relation coincides with the
+two-sided ideal relation J, which is what is computed here; tests check it
+against the join of R and L independently.
 """
 
 from __future__ import annotations
@@ -19,18 +20,14 @@ BRUTE_FORCE_CAP = 6
 
 @dataclass(frozen=True)
 class GreenData:
-    """Per-element class ids (numbered by first occurrence) plus the
-    D-class structure: members, the ideal-containment order, the minimal
-    ideal and the idempotents."""
+    """Per-element R, L, H and D class ids, numbered by first occurrence,
+    and the members of the minimal ideal in increasing order."""
 
     r_class: tuple[int, ...]
     l_class: tuple[int, ...]
     h_class: tuple[int, ...]
     d_class: tuple[int, ...]
-    d_classes: tuple[tuple[int, ...], ...]
-    d_below: tuple[tuple[bool, ...], ...]
     minimal_ideal: tuple[int, ...]
-    idempotents: tuple[int, ...]
 
     def h_class_of(self, a: int) -> tuple[int, ...]:
         mine = self.h_class[a]
@@ -43,56 +40,34 @@ def _number(keys):
 
 
 def _one_sided_ideals(rows):
-    """The principal right and left ideals aS^1 and S^1a of every a."""
-    n = len(rows)
-    right = [frozenset({a}.union(rows[a])) for a in range(n)]
-    left = [frozenset({a}.union(rows[x][a] for x in range(n))) for a in range(n)]
+    """The principal right and left ideals aS^1 and S^1a of every a: row a
+    and column a of the table, each with a added."""
+    right = [frozenset((a, *row)) for a, row in enumerate(rows)]
+    left = [frozenset((a, *column)) for a, column in enumerate(zip(*rows))]
     return right, left
 
 
 def green_relations(S: MulTable) -> GreenData:
     rows = S.rows
-    n = S.order
     right, left = _one_sided_ideals(rows)
     # S^1aS^1 is the union of the right ideals bS^1 over b in S^1a
-    two_sided = [frozenset().union(*(right[b] for b in left[a])) for a in range(n)]
+    two_sided = [frozenset().union(*(right[b] for b in ideal)) for ideal in left]
 
     r_class = _number(right)
     l_class = _number(left)
     h_class = _number(tuple(zip(r_class, l_class)))
     d_class = _number(two_sided)
 
-    k = max(d_class) + 1
-    members: list[list[int]] = [[] for _ in range(k)]
-    for a, c in enumerate(d_class):
-        members[c].append(a)
-    d_classes = tuple(tuple(m) for m in members)
-    reps = [m[0] for m in members]
-    d_below = tuple(
-        tuple(two_sided[reps[i]] <= two_sided[reps[j]] for j in range(k))
-        for i in range(k)
-    )
-
     # The product of all elements lies in every two-sided ideal, so its own
     # principal ideal is the minimal ideal.
     z = 0
-    for a in range(1, n):
+    for a in range(1, S.order):
         z = rows[z][a]
     minimal_ideal = tuple(sorted(two_sided[z]))
-    if minimal_ideal != d_classes[d_class[z]]:
+    bottom = tuple(a for a, d in enumerate(d_class) if d == d_class[z])
+    if minimal_ideal != bottom:
         raise RuntimeError("the minimal ideal is not the D-class of %d" % z)
-
-    idempotents = tuple(a for a in range(n) if rows[a][a] == a)
-    return GreenData(
-        r_class,
-        l_class,
-        h_class,
-        d_class,
-        d_classes,
-        d_below,
-        minimal_ideal,
-        idempotents,
-    )
+    return GreenData(r_class, l_class, h_class, d_class, minimal_ideal)
 
 
 def is_h_trivial(S: MulTable) -> bool:

@@ -3,7 +3,8 @@
 Format: '#' starts a comment (whole line or trailing), blank lines are
 skipped, the first data line is the order n, the next n data lines hold n
 entries each (1-based element indices), and an optional final data line
-'names: a b c ...' attaches display names.
+'names: a b c ...' attaches display names.  The order and the entries are
+ASCII decimal numerals: no sign and no other script's digits.
 """
 
 from __future__ import annotations
@@ -13,6 +14,15 @@ from .core import MulTable, MalformedTableError, make_table
 
 class TableParseError(ValueError):
     """The text is not a well-formed table file."""
+
+
+def parse_natural(field: str) -> int:
+    """The value of an ASCII numeral [0-9]+; ValueError for anything else,
+    such as a sign, an underscore or a digit of another script, all of
+    which int() accepts."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError("not an ASCII decimal numeral: %r" % field)
+    return int(field)
 
 
 def parse_table(text: str) -> MulTable:
@@ -27,7 +37,7 @@ def parse_table(text: str) -> MulTable:
     if not data:
         raise TableParseError("no table data")
     try:
-        n = int(data[0])
+        n = parse_natural(data[0])
     except ValueError:
         raise TableParseError("first data line must be the order, got %r" % data[0])
     if n < 1:
@@ -44,7 +54,7 @@ def parse_table(text: str) -> MulTable:
         row = []
         for field in fields:
             try:
-                value = int(field)
+                value = parse_natural(field)
             except ValueError:
                 raise TableParseError("bad entry %r in row %d" % (field, idx + 1))
             if not 1 <= value <= n:

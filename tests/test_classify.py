@@ -167,6 +167,9 @@ def test_free_pair_check_cases():
         c.free_pair_check(z2, 0, 2)
     with pytest.raises(c.WorkCapError):
         c.free_pair_check(z2, 0, 1, 30)
+    # 2 + 4 + ... + 2**17 = 262 142 words are more than engine.WORK_CAP
+    with pytest.raises(c.WorkCapError):
+        c.free_pair_check(S, 1, 2, 17)
 
 
 def test_free_pair_check_caps_the_words_it_compares():

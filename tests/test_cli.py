@@ -69,6 +69,8 @@ def test_bad_family_params_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "classify", "family:cyclic_group:1,2,3")
     assert code == 2
+    code, _, err = run(capsys, "classify", "family:cyclic_group:\u0663")
+    assert code == 2
 
 
 def test_associativity_error_exit_code_and_triple(capsys, tmp_path):
@@ -146,6 +148,11 @@ def test_act_validation(capsys):
     code, _, err = run(capsys, "act", "family:cyclic_group:2", "--word", "", "--prefix", "1")
     assert code == 2
     code, _, err = run(capsys, "act", "family:cyclic_group:2", "--word", "0", "--prefix", "1")
+    assert code == 2
+    # only ASCII numerals: int() would read these as 2 and 1
+    code, _, err = run(capsys, "act", "family:cyclic_group:2", "--word", "\u0662", "--prefix", "1")
+    assert code == 2
+    code, _, err = run(capsys, "act", "family:cyclic_group:2", "--word", "2", "--prefix", "+1")
     assert code == 2
 
 

@@ -145,14 +145,16 @@ def test_dump_line_round_trip():
 
 
 @pytest.mark.parametrize(
-    "line", ["1;1;1 1", "2;1 2", "0;", "-1;1", "x;1", ";1", "2"]
+    "line", ["1;1;1 1", "2;1 2", "0;", "-1;1", "x;1", ";1", "2", "\u0662;1 2;2 1"]
 )
 def test_load_dump_line_rejects_wrong_row_count_or_order(line):
     with pytest.raises(c.MalformedTableError, match="order"):
         c.load_dump_line(line)
 
 
-@pytest.mark.parametrize("line", ["2;1 x;2 1", "1;1.5", "2;1 2;2 one"])
+@pytest.mark.parametrize(
+    "line", ["2;1 x;2 1", "1;1.5", "2;1 2;2 one", "2;1 2;2 \u0661", "2;+1 2;2 1"]
+)
 def test_load_dump_line_rejects_non_integer_entries(line):
     with pytest.raises(c.MalformedTableError, match="non-integer"):
         c.load_dump_line(line)

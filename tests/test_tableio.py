@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cayleysg as c
+from cayleysg.cli import main
 
 EXAMPLE = """# the four element example
 4
@@ -67,6 +68,9 @@ def test_round_trip_survives_decoration(data):
         "2\n1 2\n1 2\nnames: a\n",
         "2\n1 2\n1 2\nsurprise\n",
         "2\n1 2\n1 2\n1 2\n",
+        "2\n1 2\n2 \u0661\n",  # an Arabic-Indic digit one
+        "2\n+1 2\n2 1\n",
+        "\u0662\n1 2\n2 1\n",
     ],
 )
 def test_parse_errors(text):
@@ -84,3 +88,40 @@ def test_parse_distinguishes_associativity_failure():
 def test_parse_indices_are_one_based():
     S = c.parse_table("2\n2 1\n1 2\n")
     assert S.rows == ((1, 0), (0, 1))
+
+
+# Numerals int() would read as well as plain ones.  Half the texts have
+# the declared shape and entries in range, so that the fuzz also reaches
+# well-formed tables, associative or not.
+TOKENS = ["0", "4", "01", "+1", "-1", "\u0661", "x", "1.5", "# c", "names: a"]
+
+
+@st.composite
+def table_like_text(draw):
+    n = draw(st.integers(1, 3))
+    entry = st.sampled_from([str(k) for k in range(1, n + 1)])
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    lines = [str(n)] + [" ".join(r) for r in draw(rows)]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(lines)))
+            lines[i:i + draw(st.integers(0, 1))] = [draw(st.sampled_from(TOKENS))]
+    return "\n".join(lines)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(st.text(), table_like_text()))
+def test_any_text_fails_only_with_documented_errors_and_exit_codes(tmp_path, text):
+    documented = (c.TableParseError, c.MalformedTableError, c.NotAssociativeError)
+    for parse, source in ((c.parse_table, text), (c.load_dump_line, text.replace("\n", ";"))):
+        try:
+            parse(source)
+        except documented:
+            pass
+    path = tmp_path / "table.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["classify", str(path)]) in (0, 2, 3)
