@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import MulTable
-from .engine import WORK_CAP, _check_words, word_counts
+from .engine import WORK_CAP, _check_words, word_counts, word_total
 from .green import GreenData, green_relations, inflation_of_right_zero
 
 
@@ -154,7 +154,7 @@ def free_pair_check(
     _check_words(2, max_len, work_cap)
     # a finite closure stops the counts, a relation at the next length
     for length, count in zip(range(1, max_len + 1), word_counts(S, (u, v))):
-        if count < 2 ** (length + 1) - 2:  # 2 + 4 + ... + 2**length words
+        if count < word_total(2, length):
             if length == 1:
                 raise ValueError("the two generators coincide as transformations")
             return False

@@ -31,6 +31,7 @@ from .engine import (
     act,
     enumerate_semigroup,
     word_counts,
+    word_total,
 )
 from .machine import build_cayley_machine, machine_to_dot
 from .tableio import TableParseError, parse_natural, parse_table
@@ -156,7 +157,7 @@ def cmd_growth(args) -> int:
         except WorkCapError as err:
             print("stopped at length %d: %s" % (length, err))
             break
-        free_reference = sum(rank**k for k in range(1, length + 1))
+        free_reference = word_total(rank, length)
         print("%6d  %8d  %4d  %14d" % (length, total, total - previous, free_reference))
         previous = total
     return 0

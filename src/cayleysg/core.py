@@ -8,6 +8,7 @@ works on plain tuples of ints, so tables are cheap to hash and compare.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 # Constructors refuse to build tables larger than this.
@@ -160,10 +161,9 @@ def cyclic_group(n: int) -> MulTable:
 def symmetric_group(n: int) -> MulTable:
     """All permutations of 0..n-1 in lexicographic order, composed so that
     (p*q)(x) = p(q(x)); the identity permutation gets index 0."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    _check_family_order(n)  # n <= n!, and no factorial of a huge n is taken
+    _check_family_order(math.factorial(n))
     perms = sorted(itertools.permutations(range(n)))
-    _check_family_order(len(perms))
     index = {p: i for i, p in enumerate(perms)}
     rows = tuple(
         tuple(index[tuple(p[q[x]] for x in range(n))] for q in perms) for p in perms

@@ -36,22 +36,6 @@ def _flat(rows):
     return tuple(v for row in rows for v in row)
 
 
-def _relabeled(rows, perm):
-    """The table of the same operation after renaming x to perm[x]."""
-    n = len(rows)
-    inverse = [0] * n
-    for x, px in enumerate(perm):
-        inverse[px] = x
-    return tuple(
-        tuple(perm[rows[inverse[i]][inverse[j]]] for j in range(n)) for i in range(n)
-    )
-
-
-def _transposed(rows):
-    n = len(rows)
-    return tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
-
-
 def canonical_form(rows, mode: str = "up_to_iso") -> bytes:
     """Least serialization of the table over all relabelings; with mode
     'up_to_iso_anti' the transpose participates too, so mutually
@@ -67,15 +51,14 @@ def canonical_form(rows, mode: str = "up_to_iso") -> bytes:
         return _serialize(n, _flat(rows))
     if n > CANONICAL_CAP:
         raise SizeCapError("order %d exceeds cap %d" % (n, CANONICAL_CAP))
-    variants = [rows]
-    if mode == "up_to_iso_anti":
-        variants.append(_transposed(rows))
-    best = None
-    for table in variants:
-        for perm in itertools.permutations(range(n)):
-            flat = _flat(_relabeled(table, perm))
-            if best is None or flat < best:
-                best = flat
+    variants = (rows, tuple(zip(*rows))) if mode == "up_to_iso_anti" else (rows,)
+    # renaming x to p[x] puts p[t[a][b]] at cell (p[a], p[b]); q inverts p
+    best = min(
+        tuple([p[t[a][b]] for a in q for b in q])
+        for t in variants
+        for p in itertools.permutations(range(n))
+        for q in [sorted(range(n), key=p.__getitem__)]
+    )
     return _serialize(n, best)
 
 

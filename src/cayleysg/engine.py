@@ -512,12 +512,23 @@ def enumerate_semigroup(
     return Closed(elements, tuple(cayley), tuple(map(index.get, graph.generator_state)))
 
 
+def word_total(letters: int, length: int) -> int:
+    """The number of words of length 1..length over the given number of
+    letters, sum of letters**l, in closed form."""
+    return length if letters == 1 else letters * (letters**length - 1) // (letters - 1)
+
+
 def _check_words(letters: int, length: int, work_cap) -> None:
     """Raise WorkCapError if the words of length 1..length over the given
-    number of letters, sum of letters**l, are more than work_cap (None: no
-    cap)."""
-    total = sum(letters**l for l in range(1, length + 1))
-    if work_cap is not None and total > work_cap:
+    number of letters are more than work_cap (None: no cap).  Over two or
+    more letters the lengths up to the cap's bit length plus one already
+    pass it, so the count never runs further."""
+    if work_cap is None:
+        return
+    if letters > 1:
+        length = min(length, work_cap.bit_length() + 1)
+    total = word_total(letters, length)
+    if total > work_cap:
         raise WorkCapError("%d words exceed the work cap %d" % (total, work_cap))
 
 

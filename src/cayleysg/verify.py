@@ -26,6 +26,7 @@ from .engine import (
     _check_words,
     count_distinct_words,
     enumerate_semigroup,
+    word_total,
 )
 from .green import brute_force_inflation, group_identity, is_h_trivial
 from .core import MulTable, SizeCapError
@@ -101,7 +102,7 @@ def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
 
     if report.is_free:
         rank = report.free_rank
-        expected = sum(rank**length for length in range(1, free_len + 1))
+        expected = word_total(rank, free_len)
         got = count_distinct_words(S, free_len)
         check(
             "free_counts",

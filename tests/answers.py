@@ -18,7 +18,9 @@ not move an answer.  A digest key is "<slice>/<group>":
   "state_cap_60" at the default budget with state_cap=60 (order <= 4
   only), "count_distinct_words" is L = 1-4, "free_pair_check" is every
   ordered pair of elements (small only), "classify" is the JSON of
-  classify and "green" the R, L, H and D class ids and the minimal ideal.
+  classify, "green" the R, L, H and D class ids and the minimal ideal, and
+  "canonical_form" the forms up to isomorphism and up to isomorphism and
+  anti-isomorphism (SizeCapError above order 6).
 
 An exception is an answer too and is recorded by its type name.  The
 tier-1 suite checks the small slice without enumerate_10000.
@@ -125,6 +127,13 @@ def _green(S):
     return [g.r_class, g.l_class, g.h_class, g.d_class, g.minimal_ideal]
 
 
+def _canonical_form(S):
+    return [
+        _attempt(lambda: c.canonical_form(S, mode).decode("ascii"))
+        for mode in ("up_to_iso", "up_to_iso_anti")
+    ]
+
+
 GROUPS = {
     "enumerate": _enumerate,
     "enumerate_10000": _enumerate_10000,
@@ -133,6 +142,7 @@ GROUPS = {
     "free_pair_check": _free_pair_check,
     "classify": _classify,
     "green": _green,
+    "canonical_form": _canonical_form,
 }
 SLICES = {"small": small_tables, "large": large_tables}
 # Groups each slice leaves out.

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import importlib
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cayleysg as c
-from cayleysg.cli import main
+from cayleysg.cli import load_input, main
 
 
 def run(capsys, *argv):
@@ -205,6 +207,17 @@ def test_growth_profile_of_a_finite_closure_prints_every_length(capsys):
     ]
 
 
+def test_growth_profile_of_one_letter_takes_constant_time_per_length(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "growth", "family:null:1", "--max-len", "20000")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 20_002
+    assert lines[-1].split() == ["20000", "1", "0", "20000"]
+    assert elapsed < 10.0
+
+
 def test_growth_profile_builds_one_behavior_graph(capsys, monkeypatch):
     engine = importlib.import_module("cayleysg.engine")
     built = []
@@ -250,6 +263,15 @@ def test_a_free_length_past_the_work_cap_exits_5(capsys):
     assert code == 5
     assert out == ""
     assert err.startswith("error:") and "work cap" in err
+
+
+@pytest.mark.parametrize("free_len", ["20000", "1000000000"])
+def test_a_free_length_far_past_the_work_cap_exits_5(capsys, free_len):
+    # the word count is not built past the cap, nor printed with 6000 digits
+    code, out, err = run(capsys, "verify", "--max-order", "2", "--free-len", free_len)
+    assert code == 5
+    assert out == ""
+    assert err == "error: 1048574 words exceed the work cap 200000\n"
 
 
 @pytest.mark.parametrize(
@@ -306,3 +328,40 @@ def test_act_from_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "act", "-", "--word", "2", "--prefix", "1,1,1")
     assert code == 0
     assert out == "2,2,2\n"
+
+
+# letters and family parameters: mostly small numerals, then numerals of
+# every size and the non-numerals the CLI must refuse
+NUMERAL = st.one_of(
+    st.integers(0, 70).map(str),
+    st.integers(0, 10**40).map(str),
+    st.sampled_from(["", "+1", "-1", " 2", "1.5", "x", "\u0661", "9" * 5000]),
+)
+NUMERALS = st.one_of(
+    st.lists(st.integers(1, 4).map(str), min_size=1, max_size=4).map(",".join),
+    st.lists(NUMERAL, max_size=4).map(",".join),
+    st.text(max_size=8),
+)
+FAMILY_TOKEN = st.one_of(
+    st.builds("family:{}:{}".format, st.sampled_from(c.family_names()), st.integers(1, 5)),
+    st.builds(
+        "family:{}{}".format,
+        st.one_of(st.sampled_from(c.family_names()), st.text(max_size=8)),
+        st.one_of(st.just(""), NUMERALS.map(":".__add__), st.text(max_size=8)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FAMILY_TOKEN, NUMERALS, NUMERALS)
+def test_family_tokens_and_act_letters_fail_only_with_documented_errors_and_exit_codes(
+    token, word, prefix
+):
+    try:
+        assert isinstance(load_input(token), c.MulTable)
+    except (c.TableParseError, c.UnknownFamilyError, c.SizeCapError):
+        pass
+    except ValueError as err:
+        assert type(err) is ValueError and str(err) == "order must be positive"
+    argv = ["act", token, "--word=" + word, "--prefix=" + prefix]
+    assert main(argv) in (0, 2, 3)

@@ -145,6 +145,16 @@ def test_family_caps_and_bad_orders():
         c.rectangular_band(0, 3)
 
 
+def test_symmetric_group_checks_the_cap_before_building_permutations(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("permutations built past the cap")
+
+    monkeypatch.setattr(c.core.itertools, "permutations", refuse)
+    for n in (6, 12, 20, 10**30):
+        with pytest.raises(c.SizeCapError):
+            c.symmetric_group(n)
+
+
 def test_direct_product_indexing_and_names():
     S = c.make_table(Z2, names=["e", "g"])
     T = c.make_table(((0, 1), (0, 1)), names=["r", "s"])  # right zero

@@ -486,3 +486,10 @@ def test_count_distinct_words_validation():
         c.count_distinct_words(c.cyclic_group(2), 0)
     with pytest.raises(c.WorkCapError):
         c.count_distinct_words(c.cyclic_group(2), 10, work_cap=100)
+
+
+def test_word_total_is_the_sum_of_the_powers():
+    for letters in range(6):
+        for length in range(9):
+            total = sum(letters**l for l in range(1, length + 1))
+            assert engine.word_total(letters, length) == total
