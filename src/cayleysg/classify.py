@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import MulTable
-from .engine import WORK_CAP, _check_words, word_counts, word_total
+from .engine import WORK_CAP, _check_word, _check_words, word_counts, word_total
 from .green import GreenData, green_relations, inflation_of_right_zero
 
 
@@ -146,9 +146,7 @@ def free_pair_check(
     not a proof; False exhibits a genuine relation.  Raises WorkCapError
     when the words, sum of 2**l for l = 1..max_len, are more than work_cap.
     """
-    for g in (u, v):
-        if not 0 <= g < S.order:
-            raise ValueError("element %d out of range" % g)
+    _check_word(S, (u, v))
     if max_len < 1:
         raise ValueError("max_len must be positive")
     _check_words(2, max_len, work_cap)
@@ -162,22 +160,16 @@ def free_pair_check(
 
 
 def report_to_json(report: ClassificationReport) -> dict:
-    """JSON-ready dict with 1-based element indices throughout."""
-    return {
-        "is_trivial": report.is_trivial,
-        "is_group": report.is_group,
-        "is_finite": report.is_finite,
-        "is_free": report.is_free,
-        "free_rank": report.free_rank,
-        "is_left_zero": report.is_left_zero,
-        "is_right_zero": report.is_right_zero,
-        "witnesses": _shifted(report.witnesses),
-        "notes": report.notes,
-    }
+    """JSON-ready dict of every field but green, with 1-based element
+    indices throughout."""
+    payload = dict(vars(report), witnesses=_shifted(report.witnesses))
+    del payload["green"]
+    return payload
 
 
 def _shifted(value):
-    """The witness with every element index, however nested, made 1-based."""
+    """The value with every element index, however nested, made 1-based:
+    the one rule for indices in JSON output."""
     if isinstance(value, int):
         return value + 1
     if isinstance(value, dict):

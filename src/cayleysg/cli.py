@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .classify import classify, report_to_json
+from .classify import _shifted, classify, report_to_json
 from .core import NotAssociativeError, named_family
 from .corpus import DEDUP_MODES, CorpusSpec, dump_line, generate_tables
 from .engine import (
@@ -112,15 +112,11 @@ def cmd_enumerate(args) -> int:
         payload = {
             "status": "Closed",
             "element_count": len(result.elements),
-            "cayley": [[v + 1 for v in row] for row in result.cayley],
-            "generator_map": [e + 1 for e in result.generator_map],
+            "cayley": _shifted(result.cayley),
+            "generator_map": _shifted(result.generator_map),
         }
     else:
-        payload = {
-            "status": "Exceeded",
-            "count_reached": result.count_reached,
-            "capped": result.capped,
-        }
+        payload = {"status": "Exceeded", **vars(result)}
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -1,8 +1,9 @@
 """Small multiplication tables: exhaustive streams, canonical forms, dumps.
 
 generate_tables fills the n x n table cell by cell, pruning with every
-associativity instance whose four lookups are already determined; complete
-tables are therefore associative by construction (and revalidated anyway).
+associativity instance that reads the cell just filled and whose four
+lookups are already determined; complete tables are therefore associative
+by construction (and revalidated anyway).
 Deduplication keeps a table iff it equals its own canonical form, so each
 isomorphism (or isomorphism-or-antiisomorphism) class is emitted exactly
 once without storing the stream.
@@ -90,12 +91,14 @@ def generate_tables(spec: CorpusSpec, fill_order: str = "row_major"):
         raise ValueError("unknown fill order %r" % fill_order)
 
     grid = [[-1] * n for _ in range(n)]
+    # Filling cell (i, j) can only complete a triple that reads it as a*b,
+    # b*c, (a*b)*c or a*(b*c), so one with a == i or c == j; every other
+    # determined triple was checked when its own last cell was filled.
     triples = list(itertools.product(range(n), repeat=3))
+    touching = [[(a, b, c) for a, b, c in triples if a == i or c == j] for i, j in cells]
 
-    def consistent():
-        # Sound and complete pruning for these sizes: recheck every triple
-        # whose four lookups are all determined.
-        for a, b, c in triples:
+    def consistent(depth):
+        for a, b, c in touching[depth]:
             ab = grid[a][b]
             if ab < 0:
                 continue
@@ -115,7 +118,7 @@ def generate_tables(spec: CorpusSpec, fill_order: str = "row_major"):
         i, j = cells[depth]
         for v in range(n):
             grid[i][j] = v
-            if consistent():
+            if consistent(depth):
                 yield from fill(depth + 1)
         grid[i][j] = -1
 

@@ -61,12 +61,14 @@ class WorkCapError(ValueError):
 
 
 def _check_word(S, word):
+    # the one rule for element indices: an int, not a bool, in 0..n-1
     word = tuple(word)
     if not word:
         raise ValueError("empty word")
+    n = S.order
     for a in word:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < S.order:
-            raise ValueError("letter %r out of range 0..%d" % (a, S.order - 1))
+        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < n:
+            raise ValueError("letter %r out of range 0..%d" % (a, n - 1))
     return word
 
 
@@ -92,8 +94,7 @@ def section(S: MulTable, word, x: int):
     preserve word length.
     """
     word = _check_word(S, word)
-    if not 0 <= x < S.order:
-        raise ValueError("letter %d out of range" % x)
+    _check_word(S, (x,))
     return _section(S.rows, word, x)
 
 
@@ -111,11 +112,11 @@ def act(S: MulTable, word, prefix):
     """Apply the transformation named by the word to a finite prefix."""
     word = _check_word(S, word)
     prefix = tuple(prefix)
+    if prefix:
+        _check_word(S, prefix)
     rows = S.rows
     out = []
     for x in prefix:
-        if not 0 <= x < S.order:
-            raise ValueError("letter %r out of range" % (x,))
         word = _section(rows, word, x)
         out.append(word[-1])
     return tuple(out)

@@ -17,7 +17,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .classify import classify, free_pair_check
+from .classify import _shifted, classify, free_pair_check
 from .corpus import ENUMERATION_CAP, CorpusSpec, dump_line, generate_tables
 from .engine import (
     DEFAULT_BUDGET,
@@ -45,17 +45,11 @@ class VerifyReport:
     elapsed_seconds: float
 
     def to_json(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "budget": self.budget,
-            "free_len": self.free_len,
-            "dedup": self.dedup,
-            "tables_checked": self.tables_checked,
-            "checks_passed": self.checks_passed,
-            "disagreements": list(self.disagreements),
-            "inconclusive": list(self.inconclusive),
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return dict(
+            vars(self),
+            disagreements=list(self.disagreements),
+            inconclusive=list(self.inconclusive),
+        )
 
 
 def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
@@ -65,98 +59,74 @@ def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
     inconclusive are lists of dicts describing what went wrong or what
     could not be decided (a free pair search that found no witness).
     """
-    line = dump_line(S)
-    disagreements = []
-    inconclusive = []
-    passed = 0
-
-    def check(name, ok, details=""):
-        nonlocal passed
-        if ok:
-            passed += 1
-        else:
-            disagreements.append({"table": line, "check": name, "details": details})
-
     report = classify(S)
     result = enumerate_semigroup(S, budget)
     closed = isinstance(result, Closed)
+    rows = result.cayley if closed else ()
+    identity_row = tuple(range(len(rows)))
+    group = closed and group_identity(rows, identity_row) is not None
 
-    check("finite", report.is_finite == closed)
-
-    engine_trivial = closed and len(result.elements) == 1
-    check("trivial", report.is_trivial == engine_trivial)
-
-    engine_group = closed and group_identity(result.cayley, range(len(result.cayley))) is not None
-    check("group", report.is_group == engine_group)
-
+    # (name, ok, details), in the order disagreements are reported
+    checks = [
+        ("finite", report.is_finite == closed, ""),
+        ("trivial", report.is_trivial == (closed and len(result.elements) == 1), ""),
+        ("group", report.is_group == group, ""),
+    ]
     if closed:
-        rows = result.cayley
-        size = len(rows)
-        engine_left = all(rows[a][b] == a for a in range(size) for b in range(size))
-        engine_right = all(rows[a][b] == b for a in range(size) for b in range(size))
-        check("closed_h_trivial", is_h_trivial(MulTable(rows)))
-    else:
-        engine_left = engine_right = False
-    check("left_zero", report.is_left_zero == engine_left)
-    check("right_zero", report.is_right_zero == engine_right)
+        checks.append(("closed_h_trivial", is_h_trivial(MulTable(rows)), ""))
+    # in a left (right) zero semigroup row a is all a (the identity row)
+    left = closed and all(set(row) == {a} for a, row in enumerate(rows))
+    right = closed and all(row == identity_row for row in rows)
+    checks += [
+        ("left_zero", report.is_left_zero == left, ""),
+        ("right_zero", report.is_right_zero == right, ""),
+    ]
 
     if report.is_free:
-        rank = report.free_rank
-        expected = word_total(rank, free_len)
+        expected = word_total(report.free_rank, free_len)
         got = count_distinct_words(S, free_len)
-        check(
-            "free_counts",
-            got == expected,
-            "expected %d distinct words up to length %d, engine found %d"
-            % (expected, free_len, got),
-        )
+        details = "expected %d distinct words up to length %d, engine found %d"
+        checks.append(("free_counts", got == expected, details % (expected, free_len, got)))
 
-    check(
-        "inflation_bruteforce",
-        ("inflation" in report.witnesses) == brute_force_inflation(S),
-    )
+    inflation = ("inflation" in report.witnesses) == brute_force_inflation(S)
+    checks.append(("inflation_bruteforce", inflation, ""))
 
     green = report.green
-    table = S.rows
-    ok = True
-    for a in range(S.order):
-        for b in range(S.order):
-            ab = table[a][b]
-            if green.d_class[a] == green.d_class[b] == green.d_class[ab]:
-                if (
-                    green.r_class[ab] != green.r_class[a]
-                    or green.l_class[ab] != green.l_class[b]
-                ):
-                    ok = False
-    check("d_class_products", ok)
+    products = all(
+        green.r_class[ab] == green.r_class[a] and green.l_class[ab] == green.l_class[b]
+        for a, row in enumerate(S.rows)
+        for b, ab in enumerate(row)
+        if green.d_class[a] == green.d_class[b] == green.d_class[ab]
+    )
+    checks.append(("d_class_products", products, ""))
 
+    line = dump_line(S)
+    inconclusive = []
     if not report.is_finite:
         h_class = report.witnesses["infinite"]["h_class"]
         stabilizer = report.witnesses["infinite"]["stabilizer"]
-        check("infinite_witness", len(h_class) > 1 and len(stabilizer) > 0)
-        reps = []
-        seen_rows = set()
-        for t in stabilizer:
-            if table[t] not in seen_rows:
-                seen_rows.add(table[t])
-                reps.append(t)
-        found = False
-        for u, v in itertools.combinations(reps, 2):
-            if free_pair_check(S, u, v, free_len):
-                found = True
-                break
-        if not found:
+        checks.append(("infinite_witness", len(h_class) > 1 and len(stabilizer) > 0, ""))
+        # membership depends on the row alone, so the first element of S
+        # with a stabilizer row is the first stabilizer element with it
+        reps = [t for t in stabilizer if S.rows.index(S.rows[t]) == t]
+        pairs = itertools.combinations(reps, 2)
+        if not any(free_pair_check(S, u, v, free_len) for u, v in pairs):
             inconclusive.append(
                 {
                     "table": line,
-                    "h_class": [h + 1 for h in h_class],
-                    "stabilizer": [t + 1 for t in stabilizer],
+                    "h_class": _shifted(h_class),
+                    "stabilizer": _shifted(stabilizer),
                     "details": "no generator pair of the stabilizer passed the"
                     " free pair check at length %d" % free_len,
                 }
             )
 
-    return passed, disagreements, inconclusive
+    disagreements = [
+        {"table": line, "check": name, "details": details}
+        for name, ok, details in checks
+        if not ok
+    ]
+    return len(checks) - len(disagreements), disagreements, inconclusive
 
 
 def run_verify(

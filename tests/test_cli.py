@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 import time
 
 import pytest
@@ -124,6 +125,12 @@ def test_enumerate_exceeded_payload(capsys):
     assert payload == {"status": "Exceeded", "count_reached": 101, "capped": False}
 
 
+def test_enumerate_exceeded_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "enumerate", "family:cyclic_group:2", "--budget", "20")
+    assert code == 0
+    assert out == '{\n  "status": "Exceeded",\n  "count_reached": 21,\n  "capped": false\n}\n'
+
+
 def test_enumerate_budget_too_small(capsys):
     code, _, err = run(capsys, "enumerate", "family:cyclic_group:3", "--budget", "2")
     assert code == 2
@@ -165,6 +172,23 @@ def test_verify_clean_run(capsys):
     assert payload["disagreements"] == []
     assert payload["inconclusive"] == []
     assert payload["tables_checked"] == 5
+
+
+def test_verify_stdout_is_pinned_apart_from_the_elapsed_time(capsys):
+    code, out, _ = run(capsys, "verify", "--max-order", "2")
+    assert code == 0
+    assert re.sub(r'\n  "elapsed_seconds": [0-9.e-]+', "", out) == (
+        "{\n"
+        '  "max_order": 2,\n'
+        '  "budget": 10000,\n'
+        '  "free_len": 4,\n'
+        '  "dedup": "up_to_iso_anti",\n'
+        '  "tables_checked": 5,\n'
+        '  "checks_passed": 41,\n'
+        '  "disagreements": [],\n'
+        '  "inconclusive": [],\n'
+        "}\n"
+    )
 
 
 def test_verify_report_file(capsys, tmp_path):

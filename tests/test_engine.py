@@ -47,6 +47,28 @@ def test_word_validation():
         c.act(S, (0,), (0, 5))
 
 
+@pytest.mark.parametrize("letter", [True, 1.0])
+def test_every_entry_point_rejects_a_letter_that_is_not_an_int(letter):
+    # True and 1.0 would index row 1; each must fail as bad input instead
+    S = c.cyclic_group(3)
+    calls = [
+        lambda: c.first_letter_action(S, (letter,)),
+        lambda: c.section(S, (letter,), 0),
+        lambda: c.section(S, (1,), letter),
+        lambda: c.act(S, (letter,), (0,)),
+        lambda: c.act(S, (0,), (letter,)),
+        lambda: c.act(S, (0,), (0, letter)),
+        lambda: c.equal(S, (letter,), (1,)),
+        lambda: c.equal(S, (1,), (letter,)),
+        lambda: c.canonicalize(S, (letter,)),
+        lambda: c.free_pair_check(S, letter, 0, 3),
+        lambda: c.free_pair_check(S, 0, letter, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 # first_letter_action
 
 

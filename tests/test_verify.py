@@ -11,8 +11,10 @@ from cayleysg import (
     SizeCapError,
     WorkCapError,
     cyclic_group,
+    direct_product,
     example_ijkf,
     left_zero,
+    right_zero,
     run_verify,
 )
 from cayleysg.verify import check_table
@@ -54,6 +56,55 @@ def test_check_table_reports_a_lying_classifier(monkeypatch):
     monkeypatch.setattr(verify, "classify", lambda _: lying)
     _, disagreements, _ = check_table(S)
     assert any(item["check"] == "trivial" for item in disagreements)
+
+
+def test_check_table_reports_every_lie_in_check_order(monkeypatch):
+    S = left_zero(2)
+    lying = dataclasses.replace(
+        verify.classify(S), is_trivial=True, is_group=True, is_left_zero=True
+    )
+    monkeypatch.setattr(verify, "classify", lambda _: lying)
+    passed, disagreements, inconclusive = check_table(S)
+    assert passed == 5
+    assert [item["check"] for item in disagreements] == ["trivial", "group", "left_zero"]
+    assert inconclusive == []
+
+
+def test_check_table_reports_a_wrong_free_rank_with_its_counts(monkeypatch):
+    S = cyclic_group(2)
+    lying = dataclasses.replace(verify.classify(S), free_rank=3)
+    monkeypatch.setattr(verify, "classify", lambda _: lying)
+    passed, disagreements, inconclusive = check_table(S)
+    assert passed == 8
+    assert disagreements == [
+        {
+            "table": "2;1 2;2 1",
+            "check": "free_counts",
+            "details": "expected 120 distinct words up to length 4, engine found 30",
+        }
+    ]
+    assert inconclusive == []
+
+
+def test_check_table_tries_one_stabilizer_element_per_row(monkeypatch):
+    # rows 1 = 2 and 3 = 4: only the first element of each row is paired
+    S = direct_product(cyclic_group(2), right_zero(2))
+    tried = []
+    monkeypatch.setattr(
+        verify, "free_pair_check", lambda S, u, v, n: tried.append((u, v)) or False
+    )
+    passed, disagreements, inconclusive = check_table(S)
+    assert tried == [(0, 2)]
+    assert (passed, disagreements) == (9, [])
+    assert inconclusive == [
+        {
+            "table": "4;1 2 3 4;1 2 3 4;3 4 1 2;3 4 1 2",
+            "h_class": [1, 3],
+            "stabilizer": [1, 2, 3, 4],
+            "details": "no generator pair of the stabilizer passed the free pair"
+            " check at length 4",
+        }
+    ]
 
 
 def test_check_table_reports_a_closed_semigroup_that_is_not_h_trivial(monkeypatch):
