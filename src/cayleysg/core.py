@@ -55,7 +55,24 @@ class MulTable:
         return len(self.rows)
 
     def mul(self, a: int, b: int) -> int:
+        _check_elements("element", (a, b), len(self.rows))
         return self.rows[a][b]
+
+
+def _check_elements(name, values, n):
+    """The one rule for element indices: each an int, not a bool (which
+    would read as 0 or 1), in 0..n-1.  One call checks a whole word."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            raise ValueError("%s %r out of range 0..%d" % (name, v, n - 1))
+    return values
+
+
+def _check_int(name, value):
+    """The rule for lengths, budgets and caps: an int, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an int, not %r" % (name, value))
+    return value
 
 
 def _check_shape(rows):

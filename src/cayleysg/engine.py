@@ -31,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import MulTable
+from .core import MulTable, _check_elements, _check_int
 
 DEFAULT_BUDGET = 10_000
 CLOSURE_CAP = 10_000
@@ -61,15 +61,10 @@ class WorkCapError(ValueError):
 
 
 def _check_word(S, word):
-    # the one rule for element indices: an int, not a bool, in 0..n-1
     word = tuple(word)
     if not word:
         raise ValueError("empty word")
-    n = S.order
-    for a in word:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < n:
-            raise ValueError("letter %r out of range 0..%d" % (a, n - 1))
-    return word
+    return _check_elements("letter", word, S.order)
 
 
 def _first_letter_multiplier(S, word):
@@ -200,21 +195,28 @@ def _refine(out_rows, nxt_rows, established=0):
     later state is alone in its class for good (blocks only split), so it
     takes the unique tag -1 - s and leaves the passes; the tag is its exact
     class, so states pointing at it still split correctly.
+
+    A pass costs a few C calls per letter: the later states' successor rows
+    are transposed once, and each pass zips the current class with the
+    classes of every successor column into one signature tuple per state,
+    hashed once.  Passes stop as soon as every state left in them has a
+    class of its own: a discrete partition cannot split again.
     """
     k = established
     ids: dict = {}
     cls = [ids.setdefault(row, len(ids)) for row in out_rows]
     count = len(ids)
     live = range(k)  # established states still in the passes
-    later, later_nxt = cls[k:], nxt_rows[k:]
+    later = cls[k:]
+    cols = [*zip(*nxt_rows[k:])]
     get = cls.__getitem__
-    while True:
+    while count < len(live) + len(later):
         ids = {}
+        number = ids.setdefault
         if live:
-            est = [ids.setdefault((cls[s], *map(get, nxt_rows[s])), len(ids)) for s in live]
+            est = [number((cls[s], *map(get, nxt_rows[s])), len(ids)) for s in live]
         later = [
-            ids.setdefault((c, *map(get, nxt)), len(ids))
-            for c, nxt in zip(later, later_nxt)
+            number(sig, len(ids)) for sig in zip(later, *[map(get, col) for col in cols])
         ]
         if len(ids) == count:
             break
@@ -231,6 +233,10 @@ def _refine(out_rows, nxt_rows, established=0):
                     cls[s] = -1 - s
             live = kept
             count = len(shared)
+    else:
+        # discrete: no later state equals an established one or another
+        # later state, so each is a fresh class in state order
+        return list(range(len(cls)))
     if not k:
         return cls
     # the live established states are alone in their classes, so the last
@@ -290,19 +296,27 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
     |S|**len(word) words, as sections preserve word length); if more than
     closure_cap distinct residual words appear, raises ClosureCapError as a
     resource limit (equal() still answers pairwise questions).
+
+    Entry i of section(w, x) is (a_i * ... * a_1) * x, so the sections of w
+    for x = 0..n-1 are the columns of the rows of its running products, and
+    the last of those rows is its output row.
     """
     word = _check_word(S, word)
+    _check_int("closure_cap", closure_cap)
     rows = S.rows
-    n = S.order
     index = {word: 0}
     order = [word]
     out_rows = []
     nxt_rows = []
     for w in order:
-        out_rows.append(rows[_first_letter_multiplier(S, w)])
+        p = w[0]
+        prefix_rows = [rows[p]]
+        for a in w[1:]:
+            p = rows[a][p]
+            prefix_rows.append(rows[p])
+        out_rows.append(rows[p])
         nxt = []
-        for x in range(n):
-            s = _section(rows, w, x)
+        for s in zip(*prefix_rows):
             if s not in index:
                 if len(order) >= closure_cap:
                     raise ClosureCapError(len(order))
@@ -311,7 +325,7 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
             nxt.append(index[s])
         nxt_rows.append(tuple(nxt))
     cls, qout, qnxt = _minimize(out_rows, nxt_rows)
-    return _pointed_machine(qout, qnxt, cls[0], range(n))
+    return _pointed_machine(qout, qnxt, cls[0], range(S.order))
 
 
 class BehaviorGraph:
@@ -331,7 +345,7 @@ class BehaviorGraph:
 
     def __init__(self, S: MulTable, state_cap: int = STATE_CAP):
         self.rows = S.rows
-        self.state_cap = state_cap
+        self.state_cap = _check_int("state_cap", state_cap)
         # column[x] numbers the distinct table columns in order; behaviors
         # read the first letter of each
         first: dict = {}
@@ -493,7 +507,7 @@ def enumerate_semigroup(
     graph: a * (p * g) = (a * p) * g.
     """
     n = S.order
-    if budget < n:
+    if _check_int("budget", budget) < n:
         raise ValueError("budget %d below the number of generators %d" % (budget, n))
     graph = BehaviorGraph(S, state_cap)
     try:
@@ -526,6 +540,7 @@ def _check_words(letters: int, length: int, work_cap) -> None:
     pass it, so the count never runs further."""
     if work_cap is None:
         return
+    _check_int("work_cap", work_cap)
     if letters > 1:
         length = min(length, work_cap.bit_length() + 1)
     total = word_total(letters, length)
@@ -553,7 +568,7 @@ def count_distinct_words(S: MulTable, max_len: int, work_cap: int = WORK_CAP) ->
     The sweep is capped by the total number of words, sum of |S|**l for
     l = 1..max_len; raises WorkCapError above work_cap.
     """
-    if max_len < 1:
+    if _check_int("max_len", max_len) < 1:
         raise ValueError("max_len must be positive")
     _check_words(S.order, max_len, work_cap)
     return list(itertools.islice(word_counts(S, range(S.order)), max_len))[-1]

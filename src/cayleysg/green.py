@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import MulTable, SizeCapError
+from .core import MulTable, SizeCapError, _check_elements
 
 # brute_force_inflation searches all partitions; keep it tiny.
 BRUTE_FORCE_CAP = 6
@@ -30,6 +30,7 @@ class GreenData:
     minimal_ideal: tuple[int, ...]
 
     def h_class_of(self, a: int) -> tuple[int, ...]:
+        _check_elements("element", (a,), len(self.h_class))
         mine = self.h_class[a]
         return tuple(x for x, h in enumerate(self.h_class) if h == mine)
 

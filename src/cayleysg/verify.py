@@ -29,7 +29,7 @@ from .engine import (
     word_total,
 )
 from .green import brute_force_inflation, group_identity, is_h_trivial
-from .core import MulTable, SizeCapError
+from .core import MulTable, SizeCapError, _check_int
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
     inconclusive are lists of dicts describing what went wrong or what
     could not be decided (a free pair search that found no witness).
     """
+    _check_int("free_len", free_len)
     report = classify(S)
     result = enumerate_semigroup(S, budget)
     closed = isinstance(result, Closed)
@@ -139,6 +140,9 @@ def run_verify(
     """Check every table of order 1..max_order (one per dedup class); an
     order above the corpus cap or below 1, free_len below 1, or a free_len
     the work cap cannot serve raises first."""
+    _check_int("max_order", max_order)
+    _check_int("budget", budget)
+    _check_int("free_len", free_len)
     if max_order > ENUMERATION_CAP:
         raise SizeCapError("order %d exceeds cap %d" % (max_order, ENUMERATION_CAP))
     if max_order < 1 or free_len < 1:

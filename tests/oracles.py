@@ -3,10 +3,11 @@
 Everything here is written directly from definitions, on purpose not
 sharing code with the package: naive associativity filtering, literal
 machine runs for word semantics, mutual-membership Green relations,
-closure-computed ideals, a backtracking isomorphism search between tables
-and the shape (group, left or right zero, null, rectangular band) of a
-closed subset.  Frozen constants in the tests were produced by these
-oracles and are asserted against both routes.
+closure-computed ideals, textbook Moore refinement of machine states, a
+backtracking isomorphism search between tables and the shape (group, left
+or right zero, null, rectangular band) of a closed subset.  Frozen
+constants in the tests were produced by these oracles and are asserted
+against both routes.
 """
 
 from __future__ import annotations
@@ -118,6 +119,28 @@ def classes_to_pairs(ids):
     """Turn per-element class ids into the set of related pairs."""
     n = len(ids)
     return {(a, b) for a in range(n) for b in range(n) if ids[a] == ids[b]}
+
+
+def _first_occurrence(keys):
+    first = {}
+    return [first.setdefault(key, len(first)) for key in keys]
+
+
+def moore_classes(out_rows, nxt_rows):
+    """Behavioral equivalence of machine states by textbook Moore
+    refinement: start from the partition by output rows and split every
+    block by the blocks of the successors until a pass changes nothing.
+    Blocks are numbered by first occurrence in state order after every
+    pass, so a pass changes nothing exactly when the numbering repeats."""
+    block = _first_occurrence(out_rows)
+    while True:
+        split = _first_occurrence(
+            (block[s], tuple(block[t] for t in nxt_rows[s]))
+            for s in range(len(out_rows))
+        )
+        if split == block:
+            return block
+        block = split
 
 
 def find_isomorphism(rows_a, rows_b):

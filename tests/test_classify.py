@@ -197,6 +197,13 @@ def test_free_pair_check_rejects_a_non_positive_length():
         c.free_pair_check(c.cyclic_group(2), 0, 1, 0)
 
 
+def test_free_pair_check_rejects_a_bool_length_or_cap():
+    # True would read as the length 1
+    for max_len, work_cap in [(True, 100), (3, True)]:
+        with pytest.raises(ValueError):
+            c.free_pair_check(c.cyclic_group(2), 0, 1, max_len, work_cap=work_cap)
+
+
 def test_free_pair_check_matches_distinct_word_counts():
     # over {u, v} alone, freeness up to L means 2 + 4 + ... + 2**L words
     z3 = c.cyclic_group(3)

@@ -168,6 +168,17 @@ def test_direct_product_indexing_and_names():
     assert unnamed.names is None
 
 
+@pytest.mark.parametrize(
+    "a, b", [(-1, 0), (0, -1), (3, 0), (0, 3), (True, 1), (1, False), (1.0, 0)]
+)
+def test_mul_follows_the_letter_rule(a, b):
+    # -1 would wrap to the last row and True would read as 1
+    S = c.cyclic_group(3)
+    with pytest.raises(ValueError):
+        S.mul(a, b)
+    assert [S.mul(x, y) for x in range(3) for y in range(3)] == [0, 1, 2, 1, 2, 0, 2, 0, 1]
+
+
 def test_direct_product_cap():
     with pytest.raises(c.SizeCapError):
         c.direct_product(c.cyclic_group(9), c.cyclic_group(8))

@@ -382,6 +382,59 @@ def test_refine_over_established_states_matches_plain_refinement(machine):
     assert engine._refine(out[:k], nxt[:k], k) == list(range(k))
 
 
+@st.composite
+def wide_machines_over_a_minimal_prefix(draw):
+    """A machine of machines_over_a_minimal_prefix over 1-64 letters: each
+    letter reads one of the narrow columns, every column is read, so the
+    first k states stay minimal; then a few entries of the later states
+    change at random."""
+    out, nxt, k = draw(machines_over_a_minimal_prefix())
+    width = len(out[0])
+    extra = draw(st.lists(st.integers(0, width - 1), max_size=64 - width))
+    columns = draw(st.permutations([*range(width), *extra]))
+    out = [[row[j] for j in columns] for row in out]
+    nxt = [[row[j] for j in columns] for row in nxt]
+    for _ in range(draw(st.integers(0, 4)) if k < len(out) else 0):
+        s = draw(st.integers(k, len(out) - 1))
+        x = draw(st.integers(0, len(columns) - 1))
+        if draw(st.booleans()):
+            out[s][x] = draw(st.integers(0, 2))
+        else:
+            nxt[s][x] = draw(st.integers(0, len(out) - 1))
+    return [*map(tuple, out)], [*map(tuple, nxt)], k
+
+
+# machines whose partition turns discrete on a pass that still split a block
+DISCRETE_BEFORE_STABLE = [
+    # a chain that splits one state per pass
+    ([(0,), (0,), (0,), (1,)], [(1,), (2,), (3,), (3,)], 0),
+    # a later state leaves the class of an established one on the first pass
+    ([(0,), (1,), (0,)], [(1,), (1,), (2,)], 2),
+    # two later states split from each other and from the established pair
+    ([(0, 0), (1, 1), (0, 0), (0, 0)], [(1, 1), (0, 0), (3, 1), (2, 2)], 2),
+    # discrete by output rows alone, before any pass
+    ([(0,), (1,), (2,)], [(0,), (0,), (0,)], 1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_machines_over_a_minimal_prefix())
+@example(DISCRETE_BEFORE_STABLE[0])
+@example(DISCRETE_BEFORE_STABLE[1])
+@example(DISCRETE_BEFORE_STABLE[2])
+@example(DISCRETE_BEFORE_STABLE[3])
+def test_refine_matches_textbook_moore_refinement(machine):
+    out, nxt, k = machine
+    assert engine._refine(out, nxt, k) == oracles.moore_classes(out, nxt)
+
+
+@pytest.mark.parametrize("machine", DISCRETE_BEFORE_STABLE)
+def test_discrete_before_stable_examples_end_discrete(machine):
+    out, nxt, k = machine
+    assert oracles.moore_classes(out, nxt) == list(range(len(out)))
+    assert oracles.moore_classes(out[:k], nxt[:k]) == list(range(k))
+
+
 def test_extend_matches_every_product_of_a_closed_search(product16):
     # every pair state equals an established behavior: the match path
     for S in (c.example_ijkf(), product16):
@@ -508,6 +561,32 @@ def test_count_distinct_words_validation():
         c.count_distinct_words(c.cyclic_group(2), 0)
     with pytest.raises(c.WorkCapError):
         c.count_distinct_words(c.cyclic_group(2), 10, work_cap=100)
+
+
+def test_count_distinct_words_rejects_a_bool_length_or_cap():
+    # True would read as the length 1 and give 3
+    S = c.cyclic_group(3)
+    for max_len, work_cap in [(True, 100), (2, True), (2.0, 100)]:
+        with pytest.raises(ValueError):
+            c.count_distinct_words(S, max_len, work_cap=work_cap)
+
+
+def test_enumerate_semigroup_rejects_a_bool_budget_or_state_cap():
+    S = c.cyclic_group(1)
+    for budget, state_cap in [(True, 100), (10, True), (10, False)]:
+        with pytest.raises(ValueError):
+            c.enumerate_semigroup(S, budget, state_cap=state_cap)
+
+
+def test_behavior_graph_rejects_a_bool_state_cap():
+    with pytest.raises(ValueError):
+        c.BehaviorGraph(c.cyclic_group(2), state_cap=True)
+
+
+def test_canonicalize_rejects_a_bool_closure_cap():
+    # a bool is refused as an argument, not read as a cap of one word
+    with pytest.raises(ValueError, match="closure_cap must be an int"):
+        c.canonicalize(c.cyclic_group(2), (0, 1), closure_cap=True)
 
 
 def test_word_total_is_the_sum_of_the_powers():

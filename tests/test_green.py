@@ -46,6 +46,15 @@ def test_minimal_ideal_invariant_rejects_a_non_associative_table():
         c.green_relations(broken)
 
 
+@pytest.mark.parametrize("a", [-1, 4, True, 1.0])
+def test_h_class_of_follows_the_letter_rule(a):
+    # -1 would name the last element's class and True element 1's
+    green = c.green_relations(c.rectangular_band(2, 2))
+    with pytest.raises(ValueError):
+        green.h_class_of(a)
+    assert [green.h_class_of(x) for x in range(4)] == [(0,), (1,), (2,), (3,)]
+
+
 def test_minimal_ideal_is_closed(small_tables):
     for S in small_tables:
         ideal = set(c.green_relations(S).minimal_ideal)

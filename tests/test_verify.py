@@ -177,6 +177,18 @@ def test_run_verify_rejects_a_free_len_above_the_work_cap_before_any_table():
     assert seen == []
 
 
+def test_check_table_rejects_a_bool_budget_or_free_len():
+    for budget, free_len in [(True, 4), (100, True)]:
+        with pytest.raises(ValueError):
+            check_table(cyclic_group(2), budget, free_len)
+
+
+def test_run_verify_rejects_a_bool_order_budget_or_free_len():
+    for args in [(True,), (1, True), (1, 100, True)]:
+        with pytest.raises(ValueError):
+            run_verify(*args)
+
+
 def test_run_verify_rejects_non_positive_order_and_free_len():
     with pytest.raises(ValueError):
         run_verify(0)
