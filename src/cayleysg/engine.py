@@ -196,9 +196,9 @@ def _refine(out_rows, nxt_rows, established=0):
     takes the unique tag -1 - s and leaves the passes; the tag is its exact
     class, so states pointing at it still split correctly.
 
-    A pass costs a few C calls per letter: the later states' successor rows
-    are transposed once, and each pass zips the current class with the
-    classes of every successor column into one signature tuple per state,
+    A pass over the later states runs in C builtins: one iterator reads the
+    classes of their successors row after row, and zip groups each state's
+    class with the next len(row) of them into its signature tuple, which is
     hashed once.  Passes stop as soon as every state left in them has a
     class of its own: a discrete partition cannot split again.
     """
@@ -207,17 +207,16 @@ def _refine(out_rows, nxt_rows, established=0):
     cls = [ids.setdefault(row, len(ids)) for row in out_rows]
     count = len(ids)
     live = range(k)  # established states still in the passes
-    later = cls[k:]
-    cols = [*zip(*nxt_rows[k:])]
+    later, later_nxt = cls[k:], nxt_rows[k:]
+    letters = len(nxt_rows[0]) if nxt_rows else 0
     get = cls.__getitem__
     while count < len(live) + len(later):
         ids = {}
         number = ids.setdefault
         if live:
             est = [number((cls[s], *map(get, nxt_rows[s])), len(ids)) for s in live]
-        later = [
-            number(sig, len(ids)) for sig in zip(later, *[map(get, col) for col in cols])
-        ]
+        succ = map(get, itertools.chain.from_iterable(later_nxt))
+        later = [number(sig, len(ids)) for sig in zip(later, *[succ] * letters)]
         if len(ids) == count:
             break
         count = len(ids)

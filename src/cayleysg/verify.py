@@ -137,12 +137,11 @@ def run_verify(
     dedup: str = "up_to_iso_anti",
     progress=None,
 ) -> VerifyReport:
-    """Check every table of order 1..max_order (one per dedup class); an
-    order above the corpus cap or below 1, free_len below 1, or a free_len
-    the work cap cannot serve raises first."""
+    """Check every table of order 1..max_order (one per dedup class); a
+    max_order that is not an int or is above the corpus cap or below 1,
+    free_len below 1, or a free_len the work cap cannot serve raises first
+    (check_table rejects a budget or free_len that is not an int)."""
     _check_int("max_order", max_order)
-    _check_int("budget", budget)
-    _check_int("free_len", free_len)
     if max_order > ENUMERATION_CAP:
         raise SizeCapError("order %d exceeds cap %d" % (max_order, ENUMERATION_CAP))
     if max_order < 1 or free_len < 1:
