@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import MulTable, _check_int
+from .core import MulTable, _check_size
 from .engine import WORK_CAP, _check_word, _check_words, word_counts, word_total
 from .green import GreenData, green_relations, inflation_of_right_zero
 
@@ -147,8 +147,7 @@ def free_pair_check(
     when the words, sum of 2**l for l = 1..max_len, are more than work_cap.
     """
     _check_word(S, (u, v))
-    if _check_int("max_len", max_len) < 1:
-        raise ValueError("max_len must be positive")
+    _check_size("max_len", max_len)
     _check_words(2, max_len, work_cap)
     # a finite closure stops the counts, a relation at the next length
     for length, count in zip(range(1, max_len + 1), word_counts(S, (u, v))):

@@ -75,6 +75,21 @@ def _check_int(name, value):
     return value
 
 
+def _check_cap(n, cap):
+    """The one size-cap rule: an order above cap (None: no cap) raises."""
+    if cap is not None and n > cap:
+        raise SizeCapError("order %d exceeds cap %d" % (n, cap))
+
+
+def _check_size(name, value, cap=None):
+    """The one rule for orders and lengths: an int, not a bool, at least 1
+    and at most cap."""
+    if _check_int(name, value) < 1:
+        raise ValueError("%s must be positive" % name)
+    _check_cap(value, cap)
+    return value
+
+
 def _check_shape(rows):
     n = len(rows)
     if n == 0:
@@ -117,8 +132,7 @@ def check_associativity(rows) -> bool:
 def make_table(rows, names=None, cap: int | None = SIZE_CAP) -> MulTable:
     """Validate rows (shape, cap, associativity) and build a MulTable."""
     _check_shape(rows)
-    if cap is not None and len(rows) > cap:
-        raise SizeCapError("order %d exceeds cap %d" % (len(rows), cap))
+    _check_cap(len(rows), cap)
     fail = associativity_failure(rows)
     if fail is not None:
         raise NotAssociativeError(fail)
@@ -136,8 +150,7 @@ def direct_product(S: MulTable, T: MulTable, cap: int | None = SIZE_CAP) -> MulT
     Names are paired when both factors are named, otherwise dropped.
     """
     m, k = S.order, T.order
-    if cap is not None and m * k > cap:
-        raise SizeCapError("order %d exceeds cap %d" % (m * k, cap))
+    _check_cap(m * k, cap)
     rows = tuple(
         tuple(S.rows[a][c] * k + T.rows[b][d] for c in range(m) for d in range(k))
         for a in range(m)
@@ -153,33 +166,33 @@ def direct_product(S: MulTable, T: MulTable, cap: int | None = SIZE_CAP) -> MulT
 
 def left_zero(n: int) -> MulTable:
     """a*b = a."""
-    _check_family_order(n)
+    _check_size("order", n, SIZE_CAP)
     return MulTable(tuple(tuple(a for _ in range(n)) for a in range(n)))
 
 
 def right_zero(n: int) -> MulTable:
     """a*b = b."""
-    _check_family_order(n)
+    _check_size("order", n, SIZE_CAP)
     return MulTable(tuple(tuple(range(n)) for _ in range(n)))
 
 
 def null(n: int) -> MulTable:
     """Every product equals the zero element 0."""
-    _check_family_order(n)
+    _check_size("order", n, SIZE_CAP)
     return MulTable(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
 
 
 def cyclic_group(n: int) -> MulTable:
     """Addition mod n; 0 is the identity."""
-    _check_family_order(n)
+    _check_size("order", n, SIZE_CAP)
     return MulTable(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
 
 
 def symmetric_group(n: int) -> MulTable:
     """All permutations of 0..n-1 in lexicographic order, composed so that
     (p*q)(x) = p(q(x)); the identity permutation gets index 0."""
-    _check_family_order(n)  # n <= n!, and no factorial of a huge n is taken
-    _check_family_order(math.factorial(n))
+    _check_size("order", n, SIZE_CAP)  # n <= n!: no factorial of a huge n
+    _check_cap(math.factorial(n), SIZE_CAP)
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     rows = tuple(
@@ -190,9 +203,9 @@ def symmetric_group(n: int) -> MulTable:
 
 def rectangular_band(p: int, q: int) -> MulTable:
     """(x, y) * (x', y') = (x, y') on p*q pairs, pair (x, y) at index x*q + y."""
-    if p < 1 or q < 1:
-        raise ValueError("order must be positive")
-    _check_family_order(p * q)
+    _check_size("order", p)
+    _check_size("order", q)
+    _check_cap(p * q, SIZE_CAP)
     rows = tuple(
         tuple(x * q + y2 for _ in range(p) for y2 in range(q))
         for x in range(p)
@@ -243,10 +256,3 @@ def named_family(name: str, *params: int) -> MulTable:
             "unknown family %r (known: %s)" % (name, ", ".join(family_names()))
         ) from None
     return builder(*params)
-
-
-def _check_family_order(n):
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > SIZE_CAP:
-        raise SizeCapError("order %d exceeds cap %d" % (n, SIZE_CAP))

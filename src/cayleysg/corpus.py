@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import MalformedTableError, MulTable, SizeCapError, make_table
+from .core import MalformedTableError, MulTable, _check_cap, _check_size, make_table
 from .tableio import parse_natural
 
 # Full enumeration is only sane for tiny orders; canonical forms go a bit
@@ -50,8 +50,7 @@ def canonical_form(rows, mode: str = "up_to_iso") -> bytes:
     n = len(rows)
     if mode == "labeled":
         return _serialize(n, _flat(rows))
-    if n > CANONICAL_CAP:
-        raise SizeCapError("order %d exceeds cap %d" % (n, CANONICAL_CAP))
+    _check_cap(n, CANONICAL_CAP)
     variants = (rows, tuple(zip(*rows))) if mode == "up_to_iso_anti" else (rows,)
     # renaming x to p[x] puts p[t[a][b]] at cell (p[a], p[b]); q inverts p
     best = min(
@@ -76,11 +75,7 @@ def generate_tables(spec: CorpusSpec, fill_order: str = "row_major"):
     in labeled mode nor the set of representatives; it exists so the
     corpus can be cross-checked against itself.
     """
-    n = spec.order
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > ENUMERATION_CAP:
-        raise SizeCapError("order %d exceeds cap %d" % (n, ENUMERATION_CAP))
+    n = _check_size("order", spec.order, ENUMERATION_CAP)
     if spec.dedup not in DEDUP_MODES:
         raise ValueError("unknown dedup mode %r" % spec.dedup)
     if fill_order == "row_major":

@@ -31,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import MulTable, _check_elements, _check_int
+from .core import MulTable, _check_elements, _check_int, _check_size
 
 DEFAULT_BUDGET = 10_000
 CLOSURE_CAP = 10_000
@@ -567,7 +567,6 @@ def count_distinct_words(S: MulTable, max_len: int, work_cap: int = WORK_CAP) ->
     The sweep is capped by the total number of words, sum of |S|**l for
     l = 1..max_len; raises WorkCapError above work_cap.
     """
-    if _check_int("max_len", max_len) < 1:
-        raise ValueError("max_len must be positive")
+    _check_size("max_len", max_len)
     _check_words(S.order, max_len, work_cap)
     return list(itertools.islice(word_counts(S, range(S.order)), max_len))[-1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import MulTable, SizeCapError, _check_elements
+from .core import MulTable, _check_cap, _check_elements
 
 # brute_force_inflation searches all partitions; keep it tiny.
 BRUTE_FORCE_CAP = 6
@@ -76,23 +76,6 @@ def is_h_trivial(S: MulTable) -> bool:
     return len(set(zip(*_one_sided_ideals(S.rows)))) == S.order
 
 
-def group_identity(rows, members):
-    """The identity of (members, *) if that subsemigroup is a group."""
-    identity = None
-    for e in members:
-        if all(rows[e][x] == x and rows[x][e] == x for x in members):
-            identity = e
-            break
-    if identity is None:
-        return None
-    for x in members:
-        if not any(
-            rows[x][y] == identity and rows[y][x] == identity for y in members
-        ):
-            return None
-    return identity
-
-
 @dataclass(frozen=True)
 class InflationWitness:
     """A partition of the elements over a right zero set of targets.
@@ -135,8 +118,7 @@ def brute_force_inflation(S: MulTable) -> bool:
     BRUTE_FORCE_CAP raises SizeCapError.
     """
     n = S.order
-    if n > BRUTE_FORCE_CAP:
-        raise SizeCapError("order %d exceeds cap %d" % (n, BRUTE_FORCE_CAP))
+    _check_cap(n, BRUTE_FORCE_CAP)
     rows = S.rows
     elements = range(n)
     for size in range(1, n + 1):

@@ -28,8 +28,8 @@ from .engine import (
     enumerate_semigroup,
     word_total,
 )
-from .green import brute_force_inflation, group_identity, is_h_trivial
-from .core import MulTable, SizeCapError, _check_int
+from .green import brute_force_inflation, is_h_trivial
+from .core import MulTable, _check_size
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,15 @@ def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
     inconclusive are lists of dicts describing what went wrong or what
     could not be decided (a free pair search that found no witness).
     """
-    _check_int("free_len", free_len)
+    _check_size("free_len", free_len)
     report = classify(S)
     result = enumerate_semigroup(S, budget)
     closed = isinstance(result, Closed)
     rows = result.cayley if closed else ()
     identity_row = tuple(range(len(rows)))
-    group = closed and group_identity(rows, identity_row) is not None
+    # a finite semigroup is a group iff it is left and right cancellative:
+    # every row and every column of its table is a permutation
+    group = closed and all(len(set(line)) == len(rows) for line in (*rows, *zip(*rows)))
 
     # (name, ok, details), in the order disagreements are reported
     checks = [
@@ -138,14 +140,11 @@ def run_verify(
     progress=None,
 ) -> VerifyReport:
     """Check every table of order 1..max_order (one per dedup class); a
-    max_order that is not an int or is above the corpus cap or below 1,
-    free_len below 1, or a free_len the work cap cannot serve raises first
-    (check_table rejects a budget or free_len that is not an int)."""
-    _check_int("max_order", max_order)
-    if max_order > ENUMERATION_CAP:
-        raise SizeCapError("order %d exceeds cap %d" % (max_order, ENUMERATION_CAP))
-    if max_order < 1 or free_len < 1:
-        raise ValueError("max_order and free_len must be positive")
+    max_order or free_len that is not an int or is below 1, a max_order
+    above the corpus cap, or a free_len the work cap cannot serve raises
+    first (check_table rejects a budget that is not an int)."""
+    _check_size("max_order", max_order, ENUMERATION_CAP)
+    _check_size("free_len", free_len)
     if max_order >= 2:  # cyclic_group(max_order) is in the corpus and free
         _check_words(max_order, free_len, WORK_CAP)
     start = time.perf_counter()

@@ -143,6 +143,15 @@ def test_family_caps_and_bad_orders():
         c.cyclic_group(0)
     with pytest.raises(ValueError):
         c.rectangular_band(0, 3)
+    # True would read as the order 1 and 2.0 would reach range() or factorial()
+    families = ("left_zero", "right_zero", "null", "cyclic_group", "symmetric_group")
+    for order in (True, 2.0):
+        for name in families:
+            with pytest.raises(ValueError):
+                c.named_family(name, order)
+        for sides in ((order, 2), (2, order)):
+            with pytest.raises(ValueError):
+                c.rectangular_band(*sides)
 
 
 def test_symmetric_group_checks_the_cap_before_building_permutations(monkeypatch):

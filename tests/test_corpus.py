@@ -124,6 +124,8 @@ def test_canonical_form_accepts_multable_and_validates():
         c.canonical_form(S.rows, "weird")
     with pytest.raises(c.SizeCapError):
         c.canonical_form(c.left_zero(7).rows)
+    for mode in ("labeled", "up_to_iso", "up_to_iso_anti"):
+        assert c.canonical_form([], mode) == b"0:"
 
 
 def test_generate_tables_validation():
@@ -131,6 +133,9 @@ def test_generate_tables_validation():
         next(c.generate_tables(c.CorpusSpec(5, "labeled")))
     with pytest.raises(ValueError):
         next(c.generate_tables(c.CorpusSpec(0, "labeled")))
+    for order in (True, 2.0):  # True would stream the order-1 tables
+        with pytest.raises(ValueError):
+            next(c.generate_tables(c.CorpusSpec(order)))
     with pytest.raises(ValueError):
         next(c.generate_tables(c.CorpusSpec(2, "weird")))
     with pytest.raises(ValueError):

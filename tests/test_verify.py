@@ -178,13 +178,15 @@ def test_run_verify_rejects_a_free_len_above_the_work_cap_before_any_table():
 
 
 def test_check_table_rejects_a_bool_budget_or_free_len():
-    for budget, free_len in [(True, 4), (100, True)]:
-        with pytest.raises(ValueError):
-            check_table(cyclic_group(2), budget, free_len)
+    # C(left_zero(2)) is finite and not free, so no inner call reads free_len
+    for S in (cyclic_group(2), left_zero(2)):
+        for budget, free_len in [(True, 4), (100, True), (100, 0), (100, -1)]:
+            with pytest.raises(ValueError):
+                check_table(S, budget, free_len)
 
 
 def test_run_verify_rejects_a_bool_order_budget_or_free_len():
-    for args in [(True,), (1, True), (1, 100, True)]:
+    for args in [(True,), (1, True), (1, 100, True), (2, 100, "x")]:
         with pytest.raises(ValueError):
             run_verify(*args)
 
