@@ -51,11 +51,8 @@ def classify(S: MulTable) -> ClassificationReport:
     notes = []
 
     inflation, inflation_witness = inflation_of_right_zero(S)
-    if inflation_witness is not None:
-        witnesses["inflation"] = {
-            "targets": inflation_witness.targets,
-            "classes": inflation_witness.classes,
-        }
+    if inflation:
+        witnesses["inflation"] = dict(vars(inflation_witness))
 
     finite = max(green.h_class) + 1 == S.order
 

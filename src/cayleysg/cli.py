@@ -81,15 +81,16 @@ def _write(path: str | None, text: str):
         raise ValueError("cannot write %r: %s" % (path, err))
 
 
-def _parse_letters(raw: str, what: str):
+def _parse_letters(raw: str, what: str, n: int):
+    """Comma separated 1-based letters, each in 1..n, as 0-based indices."""
     if raw == "":
         return ()
     try:
         values = [parse_natural(p) for p in raw.split(",")]
     except ValueError:
         raise TableParseError("bad %s %r, expected comma separated numerals" % (what, raw))
-    if any(v < 1 for v in values):
-        raise TableParseError("%s entries are 1-based, got %r" % (what, raw))
+    if not all(1 <= v <= n for v in values):
+        raise TableParseError("%s entries must lie in 1..%d, got %r" % (what, n, raw))
     return tuple(v - 1 for v in values)
 
 
@@ -123,13 +124,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_act(args) -> int:
     S = load_input(args.input)
-    word = _parse_letters(args.word, "word")
-    prefix = _parse_letters(args.prefix, "prefix")
+    word = _parse_letters(args.word, "word", S.order)
+    prefix = _parse_letters(args.prefix, "prefix", S.order)
     if not word:
         raise TableParseError("word must be non-empty")
-    for a in word + prefix:
-        if a >= S.order:
-            raise TableParseError("element %d out of range 1..%d" % (a + 1, S.order))
     out = act(S, word, prefix)
     print(",".join(str(x + 1) for x in out))
     return 0

@@ -76,8 +76,9 @@ def _check_int(name, value):
 
 
 def _check_cap(n, cap):
-    """The one size-cap rule: an order above cap (None: no cap) raises."""
-    if cap is not None and n > cap:
+    """The one size-cap rule: an order above cap (None: no cap) raises; a
+    cap that is not an int or is a bool raises ValueError."""
+    if cap is not None and n > _check_int("cap", cap):
         raise SizeCapError("order %d exceeds cap %d" % (n, cap))
 
 

@@ -67,19 +67,21 @@ def _check_word(S, word):
     return _check_elements("letter", word, S.order)
 
 
-def _first_letter_multiplier(S, word):
-    # w sends the first input letter x to (a_k * ... * a_1) * x.
+def _section(rows, word):
+    # the rows of the running products a_1, a_2 * a_1, ..., a_k * ... * a_1:
+    # column x is the section at x, the last row the first letter action
     p = word[0]
+    out = [rows[p]]
     for a in word[1:]:
-        p = S.rows[a][p]
-    return p
+        p = rows[a][p]
+        out.append(rows[p])
+    return out
 
 
 def first_letter_action(S: MulTable, word) -> tuple[int, ...]:
     """The map the word induces on the first input letter, as its image row
     (row a_k * ... * a_1 of the table)."""
-    word = _check_word(S, word)
-    return S.rows[_first_letter_multiplier(S, word)]
+    return _section(S.rows, _check_word(S, word))[-1]
 
 
 def section(S: MulTable, word, x: int):
@@ -90,30 +92,22 @@ def section(S: MulTable, word, x: int):
     """
     word = _check_word(S, word)
     _check_word(S, (x,))
-    return _section(S.rows, word, x)
-
-
-def _section(rows, word, x):
-    # section() without validation, for residual words built here
-    out = []
-    c = x
-    for a in word:
-        c = rows[a][c]
-        out.append(c)
-    return tuple(out)
+    return tuple(row[x] for row in _section(S.rows, word))
 
 
 def act(S: MulTable, word, prefix):
     """Apply the transformation named by the word to a finite prefix."""
     word = _check_word(S, word)
-    prefix = tuple(prefix)
-    if prefix:
-        _check_word(S, prefix)
     rows = S.rows
     out = []
-    for x in prefix:
-        word = _section(rows, word, x)
-        out.append(word[-1])
+    # a letter reads one column of the running products, not every row
+    for x in _check_elements("letter", tuple(prefix), S.order):
+        residual = []
+        for a in word:
+            x = rows[a][x]
+            residual.append(x)
+        word = residual
+        out.append(x)
     return tuple(out)
 
 
@@ -129,7 +123,6 @@ def equal(S: MulTable, u, v) -> bool:
     u = _check_word(S, u)
     v = _check_word(S, v)
     rows = S.rows
-    n = S.order
     seen = set()
     stack = [(u, v)]
     while stack:
@@ -137,10 +130,10 @@ def equal(S: MulTable, u, v) -> bool:
         if a == b or (a, b) in seen:
             continue
         seen.add((a, b))
-        if rows[_first_letter_multiplier(S, a)] != rows[_first_letter_multiplier(S, b)]:
+        ra, rb = _section(rows, a), _section(rows, b)
+        if ra[-1] != rb[-1]:
             return False
-        for x in range(n):
-            stack.append((_section(rows, a, x), _section(rows, b, x)))
+        stack.extend(zip(zip(*ra), zip(*rb)))
     return True
 
 
@@ -308,12 +301,8 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
     out_rows = []
     nxt_rows = []
     for w in order:
-        p = w[0]
-        prefix_rows = [rows[p]]
-        for a in w[1:]:
-            p = rows[a][p]
-            prefix_rows.append(rows[p])
-        out_rows.append(rows[p])
+        prefix_rows = _section(rows, w)
+        out_rows.append(prefix_rows[-1])
         nxt = []
         for s in zip(*prefix_rows):
             if s not in index:

@@ -154,10 +154,15 @@ def test_act_empty_prefix(capsys):
 def test_act_validation(capsys):
     code, _, err = run(capsys, "act", "family:cyclic_group:2", "--word", "9", "--prefix", "1")
     assert code == 2
+    assert "word entries must lie in 1..2, got '9'" in err
     code, _, err = run(capsys, "act", "family:cyclic_group:2", "--word", "", "--prefix", "1")
     assert code == 2
     code, _, err = run(capsys, "act", "family:cyclic_group:2", "--word", "0", "--prefix", "1")
     assert code == 2
+    assert "word entries must lie in 1..2, got '0'" in err
+    code, _, err = run(capsys, "act", "family:cyclic_group:2", "--word", "1", "--prefix", "1,3")
+    assert code == 2
+    assert "prefix entries must lie in 1..2, got '1,3'" in err
     # only ASCII numerals: int() would read these as 2 and 1
     code, _, err = run(capsys, "act", "family:cyclic_group:2", "--word", "\u0662", "--prefix", "1")
     assert code == 2

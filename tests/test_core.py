@@ -67,6 +67,10 @@ def test_make_table_enforces_cap():
     with pytest.raises(c.SizeCapError):
         c.make_table(big)
     assert c.make_table(big, cap=None).order == 65
+    # a cap follows the int rule: not a bool (True would read as 1), not a float
+    for cap in ("x", True, 2.0):
+        with pytest.raises(ValueError, match="cap must be an int"):
+            c.make_table([[0]], cap=cap)
 
 
 def test_make_table_rejects_wrong_name_count():
@@ -191,6 +195,9 @@ def test_mul_follows_the_letter_rule(a, b):
 def test_direct_product_cap():
     with pytest.raises(c.SizeCapError):
         c.direct_product(c.cyclic_group(9), c.cyclic_group(8))
+    for cap in ("x", True, 2.0):
+        with pytest.raises(ValueError, match="cap must be an int"):
+            c.direct_product(c.cyclic_group(2), c.cyclic_group(2), cap=cap)
 
 
 def test_direct_product_associative_up_to_isomorphism():

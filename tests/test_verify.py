@@ -50,6 +50,21 @@ def test_check_table_counts_for_infinite_input():
     assert inconclusive == []
 
 
+def test_check_table_reports_the_inflation_check_as_not_run_above_its_cap():
+    # order 8 is above BRUTE_FORCE_CAP: the check is inconclusive, not passed
+    S = direct_product(left_zero(2), right_zero(4))
+    passed, disagreements, inconclusive = check_table(S)
+    assert passed == 7
+    assert disagreements == []
+    assert inconclusive == [
+        {
+            "table": verify.dump_line(S),
+            "check": "inflation_bruteforce",
+            "details": "not run above order 6",
+        }
+    ]
+
+
 def test_check_table_reports_a_lying_classifier(monkeypatch):
     S = left_zero(2)
     lying = dataclasses.replace(verify.classify(S), is_trivial=True)
