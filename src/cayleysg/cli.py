@@ -5,11 +5,13 @@ Tables come from a file, from stdin ('-'), or from a built-in family via
 family:rectangular_band:2,3.  All indices on the command line and in the
 JSON output are 1-based.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 a well-formed
-table that is not associative, 4 a verify run that found disagreements
-(including a closed C(S) that is not H-trivial), 5 a run that hit a
-resource limit (the work cap, the behavior graph's state cap or the section
-closure cap).
+Integer options are ASCII decimal numerals, as table entries are.
+
+Exit codes: 0 success, 2 unreadable or malformed input (a bad command line
+included), 3 a well-formed table that is not associative, 4 a verify run
+that found disagreements (including a closed C(S) that is not H-trivial),
+5 a run that hit a resource limit (the work cap, the behavior graph's
+state cap or the section closure cap).
 """
 
 from __future__ import annotations
@@ -179,8 +181,16 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ValueError on a bad command line, so
+    main reports it like any other malformed input."""
+
+    def error(self, message):
+        raise ValueError("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cayleysg",
         description="finite semigroups and the semigroups their Cayley machines generate",
     )
@@ -197,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate the generated semigroup")
     p.add_argument("input")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=parse_natural, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("act", help="apply the transformation of a word to a prefix")
@@ -211,20 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct transformations among the words up to each length",
     )
     p.add_argument("input")
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--work-cap", type=int, default=WORK_CAP)
+    p.add_argument("--max-len", type=parse_natural, default=6)
+    p.add_argument("--work-cap", type=parse_natural, default=WORK_CAP)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("verify", help="cross-check classifier and engine on a corpus")
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--free-len", type=int, default=4)
+    p.add_argument("--max-order", type=parse_natural, required=True)
+    p.add_argument("--budget", type=parse_natural, default=DEFAULT_BUDGET)
+    p.add_argument("--free-len", type=parse_natural, default=4)
     p.add_argument("--dedup", choices=DEDUP_MODES, default="up_to_iso_anti")
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corpus", help="dump all tables of one order, one per line")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=parse_natural, required=True)
     p.add_argument("--dedup", choices=DEDUP_MODES, default="up_to_iso_anti")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_corpus)
@@ -234,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except NotAssociativeError as err:
         print("error: %s" % err, file=sys.stderr)

@@ -60,6 +60,12 @@ class WorkCapError(ValueError):
     """The requested sweep is larger than the configured work cap."""
 
 
+class FreshBoundReached(Exception):
+    """BehaviorGraph.extend proved that its seeds name at least the graph's
+    fresh_bound distinct behaviors the graph does not hold yet, and stopped
+    before absorbing any of them."""
+
+
 def _check_word(S, word):
     word = tuple(word)
     if not word:
@@ -176,12 +182,14 @@ class AutElement:
         return tuple(out)
 
 
-def _refine(out_rows, nxt_rows, established=0):
+def _refine(out_rows, nxt_rows, established=0, seeds=0, need=None):
     """Classes of machine states under behavioral equivalence.
 
     Moore refinement: start from the partition by output rows, split by
     successor classes until no class splits.  Returns per-state class ids
-    numbered by first occurrence in state order.
+    numbered by first occurrence in state order, or None once a pass proves
+    that the first seeds later states fall into need or more classes that
+    hold no established state.
 
     The states below established must be pairwise inequivalent; they keep
     their ids.  After each pass, an established state whose class holds no
@@ -194,6 +202,14 @@ def _refine(out_rows, nxt_rows, established=0):
     class with the next len(row) of them into its signature tuple, which is
     hashed once.  Passes stop as soon as every state left in them has a
     class of its own: a discrete partition cannot split again.
+
+    Blocks only split, so states in different classes of any pass are
+    different, and a class that holds no established state after a pass
+    never equals one (a retired state is alone in its class for good).  A
+    pass numbers the live established states first, so its classes from
+    len(ids) on hold later states only, and the seeds, which come first
+    among the later states, open theirs in order: the largest class of a
+    seed tells how many such classes the seeds hold, with no set of them.
     """
     k = established
     ids: dict = {}
@@ -208,8 +224,15 @@ def _refine(out_rows, nxt_rows, established=0):
         number = ids.setdefault
         if live:
             est = [number((cls[s], *map(get, nxt_rows[s])), len(ids)) for s in live]
+        fresh = len(ids)  # classes from here on hold later states only
         succ = map(get, itertools.chain.from_iterable(later_nxt))
         later = [number(sig, len(ids)) for sig in zip(later, *[succ] * letters)]
+        if (
+            need is not None
+            and len(ids) - fresh >= need
+            and max(itertools.islice(later, seeds), default=-1) + 1 - fresh >= need
+        ):
+            return None
         if len(ids) == count:
             break
         count = len(ids)
@@ -329,11 +352,15 @@ class BehaviorGraph:
     Input letters with equal table columns (a*x == a*x' for every a) act
     alike in every behavior, so states read only the first letter of each
     distinct column; element() expands the machine back to all letters.
+
+    fresh_bound, None by default, lets a caller that only needs to know
+    whether that many new behaviors appear stop extend early (see extend).
     """
 
     def __init__(self, S: MulTable, state_cap: int = STATE_CAP):
         self.rows = S.rows
         self.state_cap = _check_int("state_cap", state_cap)
+        self.fresh_bound = None
         # column[x] numbers the distinct table columns in order; behaviors
         # read the first letter of each
         first: dict = {}
@@ -373,6 +400,13 @@ class BehaviorGraph:
         A pair (c, h) outputs h*y for each output y of c and moves to the
         pairs (nxt[c][x], h*y), so (c, h) and (c, act_rep[c][h]) are one
         pair state.
+
+        With fresh_bound set, raises FreshBoundReached, leaving the graph
+        as it was, after the first Moore pass that splits the seeds into
+        fresh_bound or more classes holding no state of the graph: each
+        such class is a behavior the graph does not hold, whatever the
+        remaining passes do.  StateCapError still comes first, from the
+        composition that precedes the passes.
         """
         rows = self.rows
         out, nxt, act_rep = self.out, self.nxt, self.act_rep
@@ -390,6 +424,7 @@ class BehaviorGraph:
                 pair_list.append((c, g))
                 top += 1
             seed_ids.append(pid)
+        seed_pairs = len(pair_list)
         pair_out = []
         pair_nxt = []
         for c, h in pair_list:
@@ -408,7 +443,9 @@ class BehaviorGraph:
             if top > self.state_cap:
                 raise StateCapError(top)
 
-        cls = _refine(out + pair_out, nxt + pair_nxt, base)
+        cls = _refine(out + pair_out, nxt + pair_nxt, base, seed_pairs, self.fresh_bound)
+        if cls is None:
+            raise FreshBoundReached(self.fresh_bound)
         # established behaviors are pairwise distinct, fresh classes follow in id order
         if cls[:base] != list(range(base)):
             raise RuntimeError("refinement renumbered an established behavior")
@@ -443,8 +480,9 @@ class Closed:
 
 @dataclass(frozen=True)
 class Exceeded:
-    """Enumeration stopped after seeing more than budget distinct elements
-    (or, with capped=True, after hitting the internal state cap)."""
+    """Enumeration stopped after proving more than budget distinct elements
+    (or, with capped=True, after hitting the internal state cap with
+    count_reached elements found)."""
 
     count_reached: int
     capped: bool = False
@@ -491,8 +529,15 @@ def enumerate_semigroup(
     Breadth-first on word length: every element found at the previous depth
     is extended by every generator.  The run is Closed when a depth adds
     nothing new, and Exceeded once more than budget distinct
-    transformations exist.  Row a of the table follows the right Cayley
-    graph: a * (p * g) = (a * p) * g.
+    transformations are proven to exist.  Row a of the table follows the
+    right Cayley graph: a * (p * g) = (a * p) * g.
+
+    Every element is a state of the graph, so a depth whose seeds hold
+    budget + 1 - (elements so far) behaviors new to the graph passes the
+    budget: the graph's fresh_bound stops that depth's extend as soon as
+    its Moore passes prove it, before the rest of the refinement, the
+    absorption and the right Cayley rows of that depth.  The answer is the
+    one the full depth gives.
     """
     n = S.order
     if _check_int("budget", budget) < n:
@@ -502,6 +547,9 @@ def enumerate_semigroup(
         for index, right, parent in _breadth_first(graph, range(n)):
             if len(index) > budget:
                 return Exceeded(budget + 1)
+            graph.fresh_bound = budget + 1 - len(index)
+    except FreshBoundReached:
+        return Exceeded(budget + 1)
     except StateCapError:
         return Exceeded(len(index), capped=True)
 

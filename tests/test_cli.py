@@ -287,6 +287,29 @@ def test_out_of_range_lengths_orders_and_caps_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+# each command line runs with the value 1; int() also reads each bad
+# numeral below as 1
+INTEGER_OPTIONS = {
+    "--budget": ["enumerate", "family:left_zero:1", "--budget"],
+    "--max-len": ["growth", "family:left_zero:1", "--max-len"],
+    "--work-cap": ["growth", "family:left_zero:1", "--work-cap"],
+    "--max-order": ["verify", "--max-order"],
+    "--free-len": ["verify", "--max-order", "1", "--free-len"],
+    "--order": ["corpus", "--order"],
+}
+
+
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_options_take_ascii_numerals_only(capsys, option):
+    argv = INTEGER_OPTIONS[option]
+    assert run(capsys, *argv, "1")[0] == 0
+    for raw in ("+1", "١", "0_1"):
+        code, out, err = run(capsys, *argv, raw)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and option in err and repr(raw) in err
+
+
 def test_a_free_length_past_the_work_cap_exits_5(capsys):
     code, out, err = run(capsys, "verify", "--max-order", "4", "--free-len", "9")
     assert code == 5

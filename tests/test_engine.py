@@ -328,6 +328,113 @@ def test_enumerate_state_cap_reports_capped():
     assert result.capped
 
 
+def level_counts(S, bound):
+    """The per-length counts of word_counts, which never takes a budget, up
+    to the closure or the first count past bound."""
+    counts = []
+    for total in engine.word_counts(S, range(S.order)):
+        if counts and total == counts[-1]:
+            break
+        counts.append(total)
+        if total > bound:
+            break
+    return counts
+
+
+@pytest.fixture(scope="module")
+def infinite_order4():
+    """The 35 order-4 classes (up to isomorphism and anti-isomorphism) whose
+    C(S) is infinite, with their level counts past 1000; with the 6 of order
+    2 and 3, the 41 of order <= 4."""
+    tables = c.generate_tables(c.CorpusSpec(4, "up_to_iso_anti"))
+    return [(S, counts) for S in tables if (counts := level_counts(S, 1000))[-1] > 1000]
+
+
+def test_enumerate_stops_exactly_at_the_budget(tables2, tables3, infinite_order4):
+    # budgets at n, at each level count and one below it (|C(S)| - 1 and
+    # |C(S)| for a finite C(S)), and inside a level
+    assert len(infinite_order4) == 35
+    small = [(S, level_counts(S, 1000)) for S in [c.left_zero(1), *tables2, *tables3]]
+    for S, counts in small + infinite_order4:
+        budgets = {S.order, 50, 100, 1000, *counts, *(k - 1 for k in counts)}
+        for budget in sorted(b for b in budgets if S.order <= b <= 1000):
+            result = c.enumerate_semigroup(S, budget)
+            if counts[-1] > budget:
+                assert result == c.Exceeded(budget + 1), (S.rows, budget)
+            else:
+                assert isinstance(result, c.Closed), (S.rows, budget)
+                assert len(result.elements) == counts[-1]
+
+
+def every_product(graph, gens):
+    return [(s, g) for s in range(len(graph)) for g in gens]
+
+
+def graph_state(graph):
+    return len(graph), list(graph.out), list(graph.nxt), list(graph.act_rep)
+
+
+def test_a_stopped_extend_leaves_the_graph_as_it_was():
+    graph = c.BehaviorGraph(c.cyclic_group(2))
+    graph.extend(every_product(graph, (0, 1)))
+    seeds = every_product(graph, (0, 1))
+    before = graph_state(graph)
+    graph.fresh_bound = 1
+    with pytest.raises(engine.FreshBoundReached):
+        graph.extend(seeds)
+    assert graph_state(graph) == before
+    graph.fresh_bound = None
+    graph.extend(seeds)
+    assert len(graph) > before[0]
+
+
+@pytest.mark.parametrize(
+    "S", [c.cyclic_group(3), c.example_ijkf(), c.rectangular_band(2, 2), c.null(3)]
+)
+def test_an_unmet_fresh_bound_changes_no_extend(S):
+    # one more than the new behaviors among the seeds cannot be proven; a
+    # lone seed also brings in new pair states that are no seed's behavior
+    plain, bounded = c.BehaviorGraph(S), c.BehaviorGraph(S)
+    for _ in range(4):
+        products = every_product(plain, range(S.order))
+        for seeds in (products[-1:], products):
+            size = len(plain)
+            ids = plain.extend(seeds)
+            bounded.fresh_bound = len({i for i in ids if i >= size}) + 1
+            assert bounded.extend(seeds) == ids
+            assert graph_state(bounded) == graph_state(plain)
+
+
+def test_the_level_past_the_budget_stops_before_absorbing(monkeypatch):
+    extend = engine.BehaviorGraph.extend
+    stopped = []
+
+    def recorded(graph, seeds):
+        before = graph_state(graph)
+        try:
+            return extend(graph, seeds)
+        except engine.FreshBoundReached:
+            stopped.append(len(seeds))
+            assert graph_state(graph) == before
+            raise
+
+    monkeypatch.setattr(engine.BehaviorGraph, "extend", recorded)
+    # lengths 1..4 give 3, 12, 39 and 120 elements
+    assert c.enumerate_semigroup(c.cyclic_group(3), 100) == c.Exceeded(101)
+    assert stopped == [(39 - 12) * 3]
+
+
+def test_a_capped_last_level_keeps_its_capped_answer():
+    # the length that passes the budget hits the state cap while composing,
+    # before any Moore pass could stop it, so the answer stays the capped one
+    assert c.enumerate_semigroup(c.cyclic_group(3), 100, state_cap=100) == c.Exceeded(
+        39, capped=True
+    )
+    assert c.enumerate_semigroup(c.cyclic_group(2), 100, state_cap=100) == c.Exceeded(
+        62, capped=True
+    )
+
+
 def test_extend_rejects_a_refinement_that_breaks_state_ids(monkeypatch):
     import cayleysg.engine as engine
 
