@@ -21,7 +21,7 @@ import json
 import sys
 
 from .classify import _shifted, classify, report_to_json
-from .core import NotAssociativeError, named_family
+from .core import NotAssociativeError, _check_size, named_family
 from .corpus import DEDUP_MODES, CorpusSpec, dump_line, generate_tables
 from .engine import (
     DEFAULT_BUDGET,
@@ -136,8 +136,8 @@ def cmd_act(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    if args.max_len < 1 or args.work_cap < 1:
-        raise ValueError("--max-len and --work-cap must be positive")
+    _check_size("--max-len", args.max_len)
+    _check_size("--work-cap", args.work_cap)
     # The free reference counts the words of a free semigroup whose rank is
     # the number of distinct generator states: equal columns mean no relation
     # yet, a stalled distinct column means the generated semigroup is finite.

@@ -131,18 +131,21 @@ def check_associativity(rows) -> bool:
 
 
 def make_table(rows, names=None, cap: int | None = SIZE_CAP) -> MulTable:
-    """Validate rows (shape, cap, associativity) and build a MulTable."""
+    """Validate rows (shape, cap), names (non-empty, no whitespace, no '#',
+    so that format_table's names line parses back) and associativity."""
     _check_shape(rows)
     _check_cap(len(rows), cap)
+    if names is not None:
+        names = tuple(str(x) for x in names)
+        if len(names) != len(rows):
+            raise MalformedTableError("name count does not match table order")
+        for name in names:
+            if name.split() != [name] or "#" in name:
+                raise MalformedTableError("bad name %r" % name)
     fail = associativity_failure(rows)
     if fail is not None:
         raise NotAssociativeError(fail)
-    table = tuple(tuple(row) for row in rows)
-    if names is not None:
-        names = tuple(str(x) for x in names)
-        if len(names) != len(table):
-            raise MalformedTableError("name count does not match table order")
-    return MulTable(table, names)
+    return MulTable(tuple(tuple(row) for row in rows), names)
 
 
 def direct_product(S: MulTable, T: MulTable, cap: int | None = SIZE_CAP) -> MulTable:

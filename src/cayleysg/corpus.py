@@ -146,8 +146,11 @@ def load_dump_line(line: str) -> MulTable:
             "declared order %r but got %d rows" % (order, len(parts))
         )
     try:
-        rows = [[parse_natural(v) - 1 for v in part.split()] for part in parts]
+        rows = [[parse_natural(v) for v in part.split()] for part in parts]
     except ValueError:
         raise MalformedTableError("non-integer entry in %r" % line.strip())
-    return make_table(rows)
+    for v in itertools.chain.from_iterable(rows):
+        if not 1 <= v <= len(rows):
+            raise MalformedTableError("entry %d out of range 1..%d" % (v, len(rows)))
+    return make_table([[v - 1 for v in row] for row in rows])
 

@@ -280,34 +280,11 @@ def _picker(positions):
     return itemgetter(*positions)
 
 
-def _pointed_machine(out_rows, nxt_rows, start, column):
-    """The reachable part from start, renumbered breadth-first; letter x
-    reads entry column[x] of the rows.
-
-    The input states must be pairwise inequivalent (already minimized) and
-    the first letter to read entry k must come before the first to read
-    entry k + 1; the result is then the canonical form of the pointed
-    machine.
-    """
-    order = [start]
-    index = {start: 0}
-    for s in order:
-        for t in nxt_rows[s]:
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-    pick = _picker(column)
-    renumber = index.__getitem__
-    transition = tuple(tuple(map(renumber, pick(nxt_rows[s]))) for s in order)
-    output = tuple(pick(out_rows[s]) for s in order)
-    return AutElement(len(column), transition, output)
-
-
 def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElement:
     """The minimal pointed machine of the transformation named by the word.
 
-    Collects the words reachable from the input via sections, minimizes and
-    extracts the reachable quotient.  The orbit is finite (at most
+    Collects the words reachable from the input via sections and minimizes
+    their machine.  The orbit is finite (at most
     |S|**len(word) words, as sections preserve word length); if more than
     closure_cap distinct residual words appear, raises ClosureCapError as a
     resource limit (equal() still answers pairwise questions).
@@ -315,14 +292,19 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
     Entry i of section(w, x) is (a_i * ... * a_1) * x, so the sections of w
     for x = 0..n-1 are the columns of the rows of its running products, and
     the last of those rows is its output row.
+
+    The quotient is returned as _minimize numbers it, by first occurrence
+    among the residual words: that is its breadth-first order from class 0,
+    as the words are collected breadth-first in letter order and only the
+    first word of a class can bring a new class into the closure (any later
+    word of it has sections equivalent to the first word's, letter by letter).
     """
     word = _check_word(S, word)
     _check_int("closure_cap", closure_cap)
     rows = S.rows
     index = {word: 0}
     order = [word]
-    out_rows = []
-    nxt_rows = []
+    out_rows, nxt_rows = [], []
     for w in order:
         prefix_rows = _section(rows, w)
         out_rows.append(prefix_rows[-1])
@@ -335,8 +317,8 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
                 order.append(s)
             nxt.append(index[s])
         nxt_rows.append(tuple(nxt))
-    cls, qout, qnxt = _minimize(out_rows, nxt_rows)
-    return _pointed_machine(qout, qnxt, cls[0], range(S.order))
+    _, qout, qnxt = _minimize(out_rows, nxt_rows)
+    return AutElement(S.order, tuple(qnxt), tuple(qout))
 
 
 class BehaviorGraph:
@@ -460,8 +442,23 @@ class BehaviorGraph:
         return [cls[pid] for pid in seed_ids]
 
     def element(self, state: int) -> AutElement:
-        """The canonical machine of the behavior at the given state."""
-        return _pointed_machine(self.out, self.nxt, state, self.column)
+        """The canonical machine of the behavior at the given state: the
+        states it reaches, numbered breadth-first, letter x reading entry
+        column[x], where the first letter to read entry k precedes the first
+        to read entry k + 1."""
+        out, nxt = self.out, self.nxt
+        order = [state]
+        index = {state: 0}
+        for s in order:
+            for t in nxt[s]:
+                if t not in index:
+                    index[t] = len(order)
+                    order.append(t)
+        pick = _picker(self.column)
+        renumber = index.__getitem__
+        transition = tuple(tuple(map(renumber, pick(nxt[s]))) for s in order)
+        output = tuple(pick(out[s]) for s in order)
+        return AutElement(len(self.column), transition, output)
 
 
 @dataclass(frozen=True)
@@ -569,13 +566,11 @@ def word_total(letters: int, length: int) -> int:
     return length if letters == 1 else letters * (letters**length - 1) // (letters - 1)
 
 
-def _check_words(letters: int, length: int, work_cap) -> None:
+def _check_words(letters: int, length: int, work_cap: int) -> None:
     """Raise WorkCapError if the words of length 1..length over the given
-    number of letters are more than work_cap (None: no cap).  Over two or
-    more letters the lengths up to the cap's bit length plus one already
-    pass it, so the count never runs further."""
-    if work_cap is None:
-        return
+    number of letters are more than work_cap.  Over two or more letters the
+    lengths up to the cap's bit length plus one already pass it, so the
+    count never runs further."""
     _check_int("work_cap", work_cap)
     if letters > 1:
         length = min(length, work_cap.bit_length() + 1)
@@ -588,11 +583,12 @@ def word_counts(S: MulTable, gens, work_cap=None):
     """How many distinct transformations the words over gens of length at
     most l name, for l = 1, 2, ...; the count stays put from the first
     length that adds none.  Raises WorkCapError before a length whose words
-    (sum of len(gens)**l) are more than work_cap."""
+    (sum of len(gens)**l) are more than work_cap (None: no cap)."""
     counts = (len(index) for index, _, _ in _breadth_first(BehaviorGraph(S), gens))
     total = 0
     for length in itertools.count(1):
-        _check_words(len(gens), length, work_cap)
+        if work_cap is not None:
+            _check_words(len(gens), length, work_cap)
         # a finite closure ends the search: longer words name nothing new
         total = next(counts, total)
         yield total

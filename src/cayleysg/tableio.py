@@ -69,10 +69,6 @@ def parse_table(text: str) -> MulTable:
         if len(extra) > 1 or not extra[0].startswith("names:"):
             raise TableParseError("unexpected trailing data: %r" % extra[0])
         names = extra[0][len("names:") :].split()
-        if len(names) != n:
-            raise TableParseError(
-                "names line has %d entries, expected %d" % (len(names), n)
-            )
     try:
         return make_table(rows, names)
     except MalformedTableError as err:

@@ -20,7 +20,9 @@ not move an answer.  A digest key is "<slice>/<group>":
   ordered pair of elements (small only), "classify" is the JSON of
   classify, "green" the R, L, H and D class ids and the minimal ideal, and
   "canonical_form" the forms up to isomorphism and up to isomorphism and
-  anti-isomorphism (SizeCapError above order 6).
+  anti-isomorphism (SizeCapError above order 6), and "canonicalize" the
+  serialized canonicalize of every word of length 1-3 over a table of order
+  <= 6 and of every one-letter word over a wider one (large only).
 
 An exception is an answer too and is recorded by its type name.  The
 tier-1 suite checks the small slice without enumerate_10000.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -134,6 +137,18 @@ def _canonical_form(S):
     ]
 
 
+def _canonicalize(S):
+    n = S.order
+    longest = 3 if n <= 6 else 1
+    words = itertools.chain.from_iterable(
+        itertools.product(range(n), repeat=k) for k in range(1, longest + 1)
+    )
+    return [
+        _attempt(lambda: c.canonicalize(S, word).serialize().decode("ascii"))
+        for word in words
+    ]
+
+
 GROUPS = {
     "enumerate": _enumerate,
     "enumerate_10000": _enumerate_10000,
@@ -143,10 +158,11 @@ GROUPS = {
     "classify": _classify,
     "green": _green,
     "canonical_form": _canonical_form,
+    "canonicalize": _canonicalize,
 }
 SLICES = {"small": small_tables, "large": large_tables}
 # Groups each slice leaves out.
-SKIPPED = {"small": (), "large": ("free_pair_check",)}
+SKIPPED = {"small": ("canonicalize",), "large": ("free_pair_check",)}
 
 
 def digest(tables, answer) -> str:

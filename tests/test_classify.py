@@ -199,7 +199,7 @@ def test_free_pair_check_rejects_a_non_positive_length():
 
 def test_free_pair_check_rejects_a_bool_length_or_cap():
     # True would read as the length 1
-    for max_len, work_cap in [(True, 100), (3, True)]:
+    for max_len, work_cap in [(True, 100), (3, True), (3, None)]:
         with pytest.raises(ValueError):
             c.free_pair_check(c.cyclic_group(2), 0, 1, max_len, work_cap=work_cap)
 

@@ -278,6 +278,7 @@ def test_growth_profile_builds_one_behavior_graph(capsys, monkeypatch):
         ["verify", "--max-order", "5"],
         ["growth", "family:cyclic_group:2", "--work-cap", "-5"],
         ["growth", "family:cyclic_group:2", "--max-len", "0"],
+        ["growth", "family:cyclic_group:2", "--work-cap", "0"],
     ],
 )
 def test_out_of_range_lengths_orders_and_caps_exit_2(capsys, argv):

@@ -78,6 +78,16 @@ def test_make_table_rejects_wrong_name_count():
         c.make_table(Z2, names=["e"])
 
 
+@pytest.mark.parametrize("bad", ["a b", "", "a#b"])
+def test_make_table_rejects_a_name_the_names_line_cannot_carry(bad):
+    # format_table would write each of these into a line parse_table rejects
+    with pytest.raises(c.MalformedTableError, match="bad name"):
+        c.make_table(Z2, names=[bad, "g"])
+    # the names are checked before associativity
+    with pytest.raises(c.MalformedTableError, match="bad name"):
+        c.make_table(NON_ASSOC, names=["e", bad])
+
+
 def test_left_zero_right_zero_null_rows():
     assert c.left_zero(3).rows == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
     assert c.right_zero(3).rows == ((0, 1, 2), (0, 1, 2), (0, 1, 2))

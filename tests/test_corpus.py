@@ -165,6 +165,15 @@ def test_load_dump_line_rejects_non_integer_entries(line):
         c.load_dump_line(line)
 
 
+@pytest.mark.parametrize(
+    "line, entry",
+    [("2;1 3;1 1", "entry 3 out of range 1..2"), ("2;0 1;1 1", "entry 0 out of range 1..2")],
+)
+def test_load_dump_line_reports_an_out_of_range_entry_as_written(line, entry):
+    with pytest.raises(c.MalformedTableError, match=entry):
+        c.load_dump_line(line)
+
+
 def test_find_isomorphism_positive_and_negative():
     z3 = c.cyclic_group(3)
     shuffled = _relabel(z3.rows, (2, 0, 1))

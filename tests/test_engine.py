@@ -268,6 +268,21 @@ def test_canonicalize_is_breadth_first_numbered(small_tables):
                 seen.update(element.transition[state])
 
 
+def test_canonicalize_numbers_new_successors_in_increasing_order(small_tables):
+    # scanning the states in order, letters in order, each successor not
+    # seen before is the next state id: the breadth-first numbering
+    for S in small_tables:
+        for length in (1, 2, 3):
+            for word in itertools.product(range(S.order), repeat=length):
+                element = c.canonicalize(S, word)
+                reached = 1
+                for row in element.transition:
+                    for t in row:
+                        assert t <= reached
+                        reached += t == reached
+                assert reached == element.n_states
+
+
 def test_canonicalize_closure_cap():
     with pytest.raises(c.ClosureCapError):
         c.canonicalize(c.cyclic_group(3), (1, 2, 1, 2, 1, 2, 1), closure_cap=20)
@@ -673,7 +688,7 @@ def test_count_distinct_words_validation():
 def test_count_distinct_words_rejects_a_bool_length_or_cap():
     # True would read as the length 1 and give 3
     S = c.cyclic_group(3)
-    for max_len, work_cap in [(True, 100), (2, True), (2.0, 100)]:
+    for max_len, work_cap in [(True, 100), (2, True), (2.0, 100), (2, None)]:
         with pytest.raises(ValueError):
             c.count_distinct_words(S, max_len, work_cap=work_cap)
 

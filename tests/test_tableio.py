@@ -66,6 +66,7 @@ def test_round_trip_survives_decoration(data):
         "2\n1 3\n1 2\n",
         "2\n1 0\n1 2\n",
         "2\n1 2\n1 2\nnames: a\n",
+        "2\n2 1\n1 1\nnames: a\n",  # names are checked before associativity
         "2\n1 2\n1 2\nsurprise\n",
         "2\n1 2\n1 2\n1 2\n",
         "2\n1 2\n2 \u0661\n",  # an Arabic-Indic digit one
