@@ -36,7 +36,7 @@ from .engine import (
     word_total,
 )
 from .machine import build_cayley_machine, machine_to_dot
-from .tableio import TableParseError, parse_natural, parse_table
+from .tableio import TableParseError, parse_entries, parse_natural, parse_table
 from .verify import run_verify
 
 PARSE_ERROR = 2
@@ -88,12 +88,10 @@ def _parse_letters(raw: str, what: str, n: int):
     if raw == "":
         return ()
     try:
-        values = [parse_natural(p) for p in raw.split(",")]
-    except ValueError:
-        raise TableParseError("bad %s %r, expected comma separated numerals" % (what, raw))
-    if not all(1 <= v <= n for v in values):
-        raise TableParseError("%s entries must lie in 1..%d, got %r" % (what, n, raw))
-    return tuple(v - 1 for v in values)
+        return tuple(parse_entries(raw.split(","), n))
+    except ValueError as err:
+        msg = "%s entries must lie in 1..%d, got %r: %s"
+        raise TableParseError(msg % (what, n, raw, err))
 
 
 def cmd_classify(args) -> int:

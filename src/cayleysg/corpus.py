@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import MalformedTableError, MulTable, _check_cap, _check_size, make_table
-from .tableio import parse_natural
+from .tableio import parse_entries, parse_natural
 
 # Full enumeration is only sane for tiny orders; canonical forms go a bit
 # further since they only pay n! per call.
@@ -146,11 +146,8 @@ def load_dump_line(line: str) -> MulTable:
             "declared order %r but got %d rows" % (order, len(parts))
         )
     try:
-        rows = [[parse_natural(v) for v in part.split()] for part in parts]
-    except ValueError:
-        raise MalformedTableError("non-integer entry in %r" % line.strip())
-    for v in itertools.chain.from_iterable(rows):
-        if not 1 <= v <= len(rows):
-            raise MalformedTableError("entry %d out of range 1..%d" % (v, len(rows)))
-    return make_table([[v - 1 for v in row] for row in rows])
+        rows = [parse_entries(part.split(), len(parts)) for part in parts]
+    except ValueError as err:
+        raise MalformedTableError(str(err))
+    return make_table(rows)
 

@@ -267,7 +267,7 @@ def _minimize(out_rows, nxt_rows):
     qout, qnxt = [], []
     for s, c in enumerate(cls):
         if c == len(qout):
-            qout.append(tuple(out_rows[s]))
+            qout.append(out_rows[s])
             qnxt.append(tuple(cls[t] for t in nxt_rows[s]))
     return cls, qout, qnxt
 
@@ -324,9 +324,10 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
 class BehaviorGraph:
     """A growing minimized machine holding every behavior seen so far.
 
-    States are pairwise distinct transformations.  extend() composes
-    existing behaviors with one-letter machines and merges the results in
-    by refining the new pair states against the established states, which
+    States are pairwise distinct transformations; out[c] is the first
+    element of S whose row state c outputs.  extend() composes existing
+    behaviors with one-letter machines and merges the results in by
+    refining the new pair states against the established states, which
     leave the refinement once no pair state shares their class;
     established state ids never change because established states are
     pairwise inequivalent and fresh classes follow in first occurrence.
@@ -348,26 +349,27 @@ class BehaviorGraph:
         first: dict = {}
         self.column = tuple(first.setdefault(col, len(first)) for col in zip(*S.rows))
         inputs = [self.column.index(k) for k in range(len(first))]
-        table = [tuple(row[x] for x in inputs) for row in S.rows]
-        cls, self.out, self.nxt = _minimize(table, table)
+        # reduced[a] is row a at those letters, rep[a] the first element with row a
+        self.reduced = [tuple(row[x] for x in inputs) for row in S.rows]
+        self.rep = [S.rows.index(row) for row in S.rows]
+        cls, self.out, self.nxt = _minimize(self.rep, self.reduced)
         # behavior of the one-letter word (g,) for each element g
         self.generator_state = tuple(cls)
         self._act_reps: dict = {}
-        self.act_rep = [self._act_rep_of(row) for row in self.out]
+        self.act_rep = [self._act_rep_of(m) for m in self.out]
 
     def __len__(self):
         return len(self.out)
 
-    def _act_rep_of(self, row):
+    def _act_rep_of(self, m):
         """act_rep[h] is the first element acting like h on the values of
-        row: a behavior with this output row followed by the machine of h or
-        of act_rep[h] is one machine.  Output rows are rows of S, so the
-        cache holds at most |S| tuples."""
-        reps = self._act_reps.get(row)
+        row m: a behavior that outputs row m followed by the machine of h or
+        of act_rep[h] is one machine.  The cache holds at most |S| tuples."""
+        reps = self._act_reps.get(m)
         if reps is None:
-            on_image = itemgetter(*set(row))
+            on_image = itemgetter(*set(self.rows[m]))
             first: dict = {}
-            reps = self._act_reps[row] = tuple(
+            reps = self._act_reps[m] = tuple(
                 first.setdefault(on_image(row_h), h) for h, row_h in enumerate(self.rows)
             )
         return reps
@@ -379,9 +381,9 @@ class BehaviorGraph:
         gives, for each seed in order, the state id of the transformation
         'seed behavior followed by the machine of element'.
 
-        A pair (c, h) outputs h*y for each output y of c and moves to the
-        pairs (nxt[c][x], h*y), so (c, h) and (c, act_rep[c][h]) are one
-        pair state.
+        A pair (c, h) outputs the row of h*m for m = out[c], as h*(m*x) =
+        (h*m)*x, and moves to the pairs (nxt[c][x], h*m*x), so (c, h) and
+        (c, act_rep[c][h]) are one pair state.
 
         With fresh_bound set, raises FreshBoundReached, leaving the graph
         as it was, after the first Moore pass that splits the seeds into
@@ -390,7 +392,7 @@ class BehaviorGraph:
         remaining passes do.  StateCapError still comes first, from the
         composition that precedes the passes.
         """
-        rows = self.rows
+        rows, rep, reduced = self.rows, self.rep, self.reduced
         out, nxt, act_rep = self.out, self.nxt, self.act_rep
         base = top = len(out)
 
@@ -410,17 +412,16 @@ class BehaviorGraph:
         pair_out = []
         pair_nxt = []
         for c, h in pair_list:
-            row_h = rows[h]
-            orow = _picker(out[c])(row_h)
+            m = rep[rows[h][out[c]]]
             ids = []
-            for t, hy in zip(nxt[c], orow):
+            for t, hy in zip(nxt[c], reduced[m]):
                 g = act_rep[t][hy]
                 pid = pair_ids[t].setdefault(g, top)
                 if pid == top:
                     pair_list.append((t, g))
                     top += 1
                 ids.append(pid)
-            pair_out.append(orow)
+            pair_out.append(m)
             pair_nxt.append(tuple(ids))
             if top > self.state_cap:
                 raise StateCapError(top)
@@ -457,7 +458,7 @@ class BehaviorGraph:
         pick = _picker(self.column)
         renumber = index.__getitem__
         transition = tuple(tuple(map(renumber, pick(nxt[s]))) for s in order)
-        output = tuple(pick(out[s]) for s in order)
+        output = tuple(self.rows[out[s]] for s in order)
         return AutElement(len(self.column), transition, output)
 
 
@@ -529,26 +530,24 @@ def enumerate_semigroup(
     transformations are proven to exist.  Row a of the table follows the
     right Cayley graph: a * (p * g) = (a * p) * g.
 
-    Every element is a state of the graph, so a depth whose seeds hold
-    budget + 1 - (elements so far) behaviors new to the graph passes the
-    budget: the graph's fresh_bound stops that depth's extend as soon as
-    its Moore passes prove it, before the rest of the refinement, the
-    absorption and the right Cayley rows of that depth.  The answer is the
-    one the full depth gives.
+    With every element of S a generator, the graph's states are exactly the
+    elements found so far, in discovery order: a pair state composes a graph
+    state with a generator, so a fresh class holds a seed, and _refine
+    numbers it by its first seed.  So fresh_bound = budget + 1 - len(graph)
+    stops a depth as soon as its Moore passes prove the budget passed, with
+    the answer the full depth gives, before its absorption and Cayley rows.
     """
     n = S.order
     if _check_int("budget", budget) < n:
         raise ValueError("budget %d below the number of generators %d" % (budget, n))
     graph = BehaviorGraph(S, state_cap)
     try:
-        for index, right, parent in _breadth_first(graph, range(n)):
-            if len(index) > budget:
-                return Exceeded(budget + 1)
-            graph.fresh_bound = budget + 1 - len(index)
+        for _, right, parent in _breadth_first(graph, range(n)):
+            graph.fresh_bound = budget + 1 - len(graph)
     except FreshBoundReached:
         return Exceeded(budget + 1)
     except StateCapError:
-        return Exceeded(len(index), capped=True)
+        return Exceeded(len(graph), capped=True)
 
     cayley = []
     for a in range(len(parent)):
@@ -556,8 +555,8 @@ def enumerate_semigroup(
         for p, i in parent:
             row.append(right[a if p < 0 else row[p]][i])
         cayley.append(tuple(row))
-    elements = tuple(graph.element(st) for st in index)
-    return Closed(elements, tuple(cayley), tuple(map(index.get, graph.generator_state)))
+    elements = tuple(map(graph.element, range(len(graph))))
+    return Closed(elements, tuple(cayley), graph.generator_state)
 
 
 def word_total(letters: int, length: int) -> int:

@@ -25,6 +25,20 @@ def parse_natural(field: str) -> int:
     return int(field)
 
 
+def parse_entries(fields, n: int) -> list[int]:
+    """0-based values of ASCII numerals in 1..n; ValueError names the first bad one."""
+    values = []
+    for field in fields:
+        try:
+            value = parse_natural(field)
+        except ValueError:
+            raise ValueError("non-integer entry %r" % field)
+        if not 1 <= value <= n:
+            raise ValueError("entry %d out of range 1..%d" % (value, n))
+        values.append(value - 1)
+    return values
+
+
 def parse_table(text: str) -> MulTable:
     """Parse a table file; raises TableParseError for malformed input and
     NotAssociativeError (from make_table) for a well-formed table of a
@@ -51,18 +65,10 @@ def parse_table(text: str) -> MulTable:
             raise TableParseError(
                 "row %d has %d entries, expected %d" % (idx + 1, len(fields), n)
             )
-        row = []
-        for field in fields:
-            try:
-                value = parse_natural(field)
-            except ValueError:
-                raise TableParseError("bad entry %r in row %d" % (field, idx + 1))
-            if not 1 <= value <= n:
-                raise TableParseError(
-                    "entry %d in row %d out of range 1..%d" % (value, idx + 1, n)
-                )
-            row.append(value - 1)
-        rows.append(row)
+        try:
+            rows.append(parse_entries(fields, n))
+        except ValueError as err:
+            raise TableParseError("%s in row %d" % (err, idx + 1))
     names = None
     extra = data[n + 1 :]
     if extra:

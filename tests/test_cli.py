@@ -74,6 +74,9 @@ def test_bad_family_params_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "classify", "family:cyclic_group:\u0663")
     assert code == 2
+    code, _, err = run(capsys, "classify", "family:cyclic_group:3:4")
+    assert code == 2
+    assert "bad family reference" in err
 
 
 def test_associativity_error_exit_code_and_triple(capsys, tmp_path):

@@ -420,6 +420,36 @@ def test_an_unmet_fresh_bound_changes_no_extend(S):
             assert graph_state(bounded) == graph_state(plain)
 
 
+def test_graph_states_are_the_elements_in_discovery_order(tables2, tables3):
+    # with every element of S a generator, _breadth_first numbers each graph
+    # state as its own id after every length, up to 1000 elements
+    order4 = c.generate_tables(c.CorpusSpec(4, "up_to_iso"))
+    for S in [c.left_zero(1), *tables2, *tables3, *order4]:
+        graph = c.BehaviorGraph(S)
+        try:
+            for index, _, _ in engine._breadth_first(graph, range(S.order)):
+                assert list(index) == list(range(len(graph))), S.rows
+                graph.fresh_bound = 1001 - len(graph)
+        except engine.FreshBoundReached:
+            pass
+
+
+def test_graph_outputs_are_the_first_element_with_their_row():
+    # tables with repeated rows: a state's output names the first of them
+    tables = [
+        c.example_ijkf(),
+        c.rectangular_band(2, 3),
+        c.direct_product(c.left_zero(2), c.right_zero(3)),
+    ]
+    for S in tables:
+        graph = c.BehaviorGraph(S)
+        for _ in range(3):
+            graph.extend(every_product(graph, range(S.order)))
+        for s, m in enumerate(graph.out):
+            assert S.rows.index(S.rows[m]) == m
+            assert graph.element(s).output[0] == S.rows[m]
+
+
 def test_the_level_past_the_budget_stops_before_absorbing(monkeypatch):
     extend = engine.BehaviorGraph.extend
     stopped = []
