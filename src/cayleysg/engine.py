@@ -480,7 +480,11 @@ class Closed:
 class Exceeded:
     """Enumeration stopped after proving more than budget distinct elements
     (or, with capped=True, after hitting the internal state cap with
-    count_reached elements found)."""
+    count_reached elements found).
+
+    A capped count depends on how many pair states the engine spends before
+    the cap binds, so it can grow between versions that spend fewer; an
+    uncapped answer never moves."""
 
     count_reached: int
     capped: bool = False
@@ -494,29 +498,93 @@ def _breadth_first(graph, gens):
     the behaviors of gens: index maps the graph state of each element to its
     number in discovery order, parent[e] = (p, i) says e = p * gens[i] (p is
     -1 for gens[i] itself) and right[e][i] = e * gens[i] is the right Cayley
-    graph (Froidure and Pin).  Yields after each length that adds elements,
-    with right filled up to the previous length; ends, with right complete,
-    at the first length that adds nothing."""
+    graph.  Yields after each length that adds elements, with right filled
+    up to the previous length; ends, with right complete, at the first
+    length that adds nothing.
+
+    As in Froidure and Pin (1997), discovery order is the shortlex order of
+    the elements' first words: generators come in order, then the frontier
+    in order, each extended by the generators in order.  Write u = gens[b] * s
+    for b the first letter of u's first word.  The product u * gens[i] is
+    composed only when u is a generator or s * gens[i] was new, its first
+    word that of s followed by i.  Otherwise s * gens[i] = p * gens[j] for
+    (p, j) = its parent, shortlex below (s, i), and u * gens[i] =
+    (gens[b] * p) * gens[j] is an element found already: entry j < i of u's
+    own row when p is s, else entry j of the row of the left product
+    gens[b] * p (gens[b] for p = -1), whose first word is shortlex below
+    u's.  Only the composed products are handed to extend, so only they can
+    bring new elements; composition is associative, so a product read is
+    the one extend would give."""
     index: dict = {}
     right: list = []
     parent: list = []
+    # first[e] is the first letter of e's first word and suffix[e] the
+    # element named by the rest of it (-1 for a generator); new_letters[e]
+    # lists the i for which e * gens[i] was new, its first word e's and i
+    first: list = []
+    suffix: list = []
+    new_letters: list = []
+    gen: list = []
+    left: dict = {}
+    k = len(gens)
+    every = range(k)
 
     def element(st, p, i):
-        if st not in index:
-            index[st] = len(parent)
+        e = index.get(st)
+        if e is None:
+            e = index[st] = len(parent)
             parent.append((p, i))
-        return index[st]
+            if p < 0:
+                first.append(i)
+                suffix.append(-1)
+            else:
+                first.append(first[p])
+                s = suffix[p]
+                suffix.append(gen[i] if s < 0 else right[s][i])
+                new_letters[p].append(i)
+        return e
+
+    def left_of(b, p):
+        # gens[b] * p = (gens[b] * q) * gens[j] for parent[p] = (q, j), the
+        # empty word -1 giving gens[b]: walk up the parents to a known
+        # product, as first words grow as long as the budget allows, then
+        # fill the memo on the way down
+        path = []
+        while p >= 0 and (b, p) not in left:
+            path.append(p)
+            p = parent[p][0]
+        e = gen[b] if p < 0 else left[b, p]
+        for p in reversed(path):
+            e = left[b, p] = right[e][parent[p][1]]
+        return e
 
     for i, g in enumerate(gens):
-        element(graph.generator_state[g], -1, i)
-    k = len(gens)
+        gen.append(element(graph.generator_state[g], -1, i))
     while len(right) < len(parent):
         yield index, right, parent
-        frontier = list(index)[len(right) :]
-        results = graph.extend([(st, g) for st in frontier for g in gens])
-        for pos in range(0, len(results), k):
-            e, row = len(right), results[pos : pos + k]
-            right.append(tuple(element(st, e, i) for i, st in enumerate(row)))
+        frontier = range(len(right), len(parent))
+        composed = [every if s < 0 else new_letters[s] for s in suffix[len(right) :]]
+        states = list(index)[len(right) :]
+        seeds = [(st, gens[i]) for st, row in zip(states, composed) for i in row]
+        results = iter(graph.extend(seeds))
+        for u, letters in zip(frontier, composed):
+            new_letters.append([])
+            if len(letters) == k:
+                # look the row up in one C call, and number its states one
+                # by one only when one of them is new
+                chunk = [*itertools.islice(results, k)]
+                row = tuple(map(index.get, chunk))
+                if None in row:
+                    row = tuple(map(element, chunk, [u] * k, every))
+            else:
+                s, b, row = suffix[u], first[u], []
+                for i, r in enumerate(right[s]):
+                    p, j = parent[r]
+                    if p != s:
+                        row.append(right[left_of(b, p)][j])
+                    else:
+                        row.append(element(next(results), u, i) if j == i else row[j])
+            right.append(tuple(row))
 
 
 def enumerate_semigroup(
@@ -524,15 +592,16 @@ def enumerate_semigroup(
 ) -> EnumerationResult:
     """Close the one-letter machines of S under composition.
 
-    Breadth-first on word length: every element found at the previous depth
-    is extended by every generator.  The run is Closed when a depth adds
+    Breadth-first on word length (see _breadth_first for which products of
+    the previous depth are composed).  The run is Closed when a depth adds
     nothing new, and Exceeded once more than budget distinct
     transformations are proven to exist.  Row a of the table follows the
     right Cayley graph: a * (p * g) = (a * p) * g.
 
     With every element of S a generator, the graph's states are exactly the
     elements found so far, in discovery order: a pair state composes a graph
-    state with a generator, so a fresh class holds a seed, and _refine
+    state with a generator, so a fresh class is an element new at this
+    depth, which is a composed product and so holds a seed, and _refine
     numbers it by its first seed.  So fresh_bound = budget + 1 - len(graph)
     stops a depth as soon as its Moore passes prove the budget passed, with
     the answer the full depth gives, before its absorption and Cayley rows.

@@ -434,6 +434,78 @@ def test_graph_states_are_the_elements_in_discovery_order(tables2, tables3):
             pass
 
 
+def test_every_product_names_its_first_word_times_the_generator(tables2, tables3):
+    # most products are read off the Cayley graphs, not composed: check each
+    # against equal, which never builds a behavior graph, up to 300 elements
+    order4 = c.generate_tables(c.CorpusSpec(4, "up_to_iso"))
+    for S in [c.left_zero(1), *tables2, *tables3, *order4]:
+        n = S.order
+        for gens in [range(n), *itertools.product(range(n), repeat=2)]:
+            graph = c.BehaviorGraph(S)
+            try:
+                for _, right, parent in engine._breadth_first(graph, gens):
+                    graph.fresh_bound = 301 - len(graph)
+            except engine.FreshBoundReached:
+                pass
+            words = []
+            for p, i in parent:
+                words.append((gens[i],) if p < 0 else words[p] + (gens[i],))
+            for e, row in enumerate(right):
+                for i, r in enumerate(row):
+                    word = words[e] + (gens[i],)
+                    assert c.equal(S, words[r], word), (S.rows, tuple(gens), word)
+
+
+def extend_seeds(monkeypatch, S, budget):
+    """The answer of enumerate_semigroup and how many seeds it extended."""
+    extend = engine.BehaviorGraph.extend
+    seeds = []
+
+    def counted(graph, pairs):
+        seeds.append(len(pairs))
+        return extend(graph, pairs)
+
+    monkeypatch.setattr(engine.BehaviorGraph, "extend", counted)
+    return c.enumerate_semigroup(S, budget), sum(seeds)
+
+
+def test_extend_composes_only_the_products_whose_suffix_product_is_new(monkeypatch):
+    # the closed-wide product of the three H-trivial order-4 classes with
+    # the largest C(S) (10, 7 and 7 elements); composing every product of
+    # its 256 elements would take 256 * 64 = 16 384 seeds
+    classes = c.generate_tables(c.CorpusSpec(4, "up_to_iso_anti"))
+    finite = [S for S in classes if c.is_h_trivial(S)]
+    S = c.direct_product(c.direct_product(finite[40], finite[54]), finite[53])
+    result, seeds = extend_seeds(monkeypatch, S, 10_000)
+    assert len(result.elements) == 256
+    assert seeds <= 4809
+
+
+def test_a_free_closure_composes_every_product(monkeypatch):
+    # C(Z_3) is free, so every word is a first word: all 3 * 363 products
+    # of the lengths 1 to 5 are composed
+    result, seeds = extend_seeds(monkeypatch, c.cyclic_group(3), 1000)
+    assert result == c.Exceeded(1001)
+    assert seeds == 1089
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "4;1 1 1 4;1 2 3 4;1 3 2 4;4 4 4 1",
+        "4;1 1 3 3;1 2 3 4;3 3 1 1;3 4 1 2",
+        "4;1 1 3 3;2 2 4 4;3 3 1 1;4 4 2 2",
+    ],
+)
+def test_a_capped_count_follows_the_pair_states_spent(line):
+    # composing only the products whose suffix product is new spends fewer
+    # pair states, so the cap of 60 binds at 60 elements, not at 28; the
+    # uncapped answer does not move
+    S = c.load_dump_line(line)
+    assert c.enumerate_semigroup(S, state_cap=60) == c.Exceeded(60, capped=True)
+    assert c.enumerate_semigroup(S) == c.Exceeded(10_001)
+
+
 def test_graph_outputs_are_the_first_element_with_their_row():
     # tables with repeated rows: a state's output names the first of them
     tables = [
