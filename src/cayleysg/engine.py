@@ -176,7 +176,7 @@ class AutElement:
         """Run the machine over a finite prefix (cross-check against act)."""
         s = self.initial
         out = []
-        for x in prefix:
+        for x in _check_elements("letter", tuple(prefix), self.letters):
             out.append(self.output[s][x])
             s = self.transition[s][x]
         return tuple(out)
@@ -510,11 +510,16 @@ def _breadth_first(graph, gens):
     word that of s followed by i.  Otherwise s * gens[i] = p * gens[j] for
     (p, j) = its parent, shortlex below (s, i), and u * gens[i] =
     (gens[b] * p) * gens[j] is an element found already: entry j < i of u's
-    own row when p is s, else entry j of the row of the left product
-    gens[b] * p (gens[b] for p = -1), whose first word is shortlex below
-    u's.  Only the composed products are handed to extend, so only they can
-    bring new elements; composition is associative, so a product read is
-    the one extend would give."""
+    own row when p is s, else entry j of the right row of gens[b] * p, whose
+    first word is shortlex below u's.  Only the composed products are
+    handed to extend, so only they can bring new elements; composition is
+    associative, so a product read is the one extend would give.
+
+    left[e][b] = gens[b] * e is the left Cayley graph, filled once per
+    length for the elements of the length before: for parent[e] = (p, j),
+    gens[b] * e = (gens[b] * p) * gens[j], and gens[b] * p is no longer
+    than e, so its right row is complete.  A generator's row is composed
+    whole; every other row is built entry by entry, composed or read."""
     index: dict = {}
     right: list = []
     parent: list = []
@@ -525,7 +530,7 @@ def _breadth_first(graph, gens):
     suffix: list = []
     new_letters: list = []
     gen: list = []
-    left: dict = {}
+    left: list = []
     k = len(gens)
     every = range(k)
 
@@ -544,20 +549,6 @@ def _breadth_first(graph, gens):
                 new_letters[p].append(i)
         return e
 
-    def left_of(b, p):
-        # gens[b] * p = (gens[b] * q) * gens[j] for parent[p] = (q, j), the
-        # empty word -1 giving gens[b]: walk up the parents to a known
-        # product, as first words grow as long as the budget allows, then
-        # fill the memo on the way down
-        path = []
-        while p >= 0 and (b, p) not in left:
-            path.append(p)
-            p = parent[p][0]
-        e = gen[b] if p < 0 else left[b, p]
-        for p in reversed(path):
-            e = left[b, p] = right[e][parent[p][1]]
-        return e
-
     for i, g in enumerate(gens):
         gen.append(element(graph.generator_state[g], -1, i))
     while len(right) < len(parent):
@@ -567,21 +558,20 @@ def _breadth_first(graph, gens):
         states = list(index)[len(right) :]
         seeds = [(st, gens[i]) for st, row in zip(states, composed) for i in row]
         results = iter(graph.extend(seeds))
-        for u, letters in zip(frontier, composed):
+        # after the extend, so a length that fresh_bound stops fills none
+        for p, j in parent[len(left) : len(right)]:
+            left.append(tuple(right[x][j] for x in (gen if p < 0 else left[p])))
+        for u in frontier:
             new_letters.append([])
-            if len(letters) == k:
-                # look the row up in one C call, and number its states one
-                # by one only when one of them is new
-                chunk = [*itertools.islice(results, k)]
-                row = tuple(map(index.get, chunk))
-                if None in row:
-                    row = tuple(map(element, chunk, [u] * k, every))
+            s, b = suffix[u], first[u]
+            if s < 0:
+                row = map(element, itertools.islice(results, k), [u] * k, every)
             else:
-                s, b, row = suffix[u], first[u], []
+                row = []
                 for i, r in enumerate(right[s]):
                     p, j = parent[r]
                     if p != s:
-                        row.append(right[left_of(b, p)][j])
+                        row.append(right[gen[b] if p < 0 else left[p][b]][j])
                     else:
                         row.append(element(next(results), u, i) if j == i else row[j])
             right.append(tuple(row))

@@ -257,6 +257,15 @@ def test_aut_element_apply_matches_literal_runs(data):
     assert element.apply(prefix) == oracles.word_apply(S.rows, word, prefix)
 
 
+def test_aut_element_apply_checks_its_prefix():
+    # -1 would read as letter 2 and True as letter 1; 3 is past the table
+    element = c.canonicalize(c.cyclic_group(3), (1, 2))
+    for prefix in [(-1,), (True,), (3,), (0, 1.0)]:
+        with pytest.raises(ValueError, match="letter"):
+            element.apply(prefix)
+    assert element.apply([0, 1, 2]) == c.act(c.cyclic_group(3), (1, 2), (0, 1, 2))
+
+
 def test_canonicalize_is_breadth_first_numbered(small_tables):
     for S in small_tables[::13]:
         for s in range(S.order):
