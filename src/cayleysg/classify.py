@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .core import MulTable, _check_size
 from .engine import WORK_CAP, _check_word, _check_words, word_counts, word_total
 from .green import GreenData, green_relations, inflation_of_right_zero
+from .tableio import _shifted
 
 
 @dataclass(frozen=True)
@@ -161,13 +162,3 @@ def report_to_json(report: ClassificationReport) -> dict:
     payload = dict(vars(report), witnesses=_shifted(report.witnesses))
     del payload["green"]
     return payload
-
-
-def _shifted(value):
-    """The value with every element index, however nested, made 1-based:
-    the one rule for indices in JSON output."""
-    if isinstance(value, int):
-        return value + 1
-    if isinstance(value, dict):
-        return {key: _shifted(item) for key, item in value.items()}
-    return [_shifted(item) for item in value]

@@ -8,21 +8,22 @@ JSON output are 1-based.
 Integer options are ASCII decimal numerals, as table entries are.
 
 Exit codes: 0 success, 2 unreadable or malformed input (a bad command line
-included), 3 a well-formed table that is not associative, 4 a verify run
-that found disagreements (including a closed C(S) that is not H-trivial),
-5 a run that hit a resource limit (the work cap, the behavior graph's
-state cap or the section closure cap).
+included) or output that cannot be written (an --out path, or a stdout
+whose reader has gone, for which nothing is printed, also under python -u;
+a run whose code was already nonzero keeps it), 3 a well-formed table
+that is not associative, 4 a verify run that found disagreements (including
+a closed C(S) that is not H-trivial), 5 a run that hit a resource limit (the
+work cap, the behavior graph's state cap or the section closure cap).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import io
+import os
 import sys
 
-from .classify import _shifted, classify, report_to_json
-from .core import NotAssociativeError, _check_size, named_family
-from .corpus import DEDUP_MODES, CorpusSpec, dump_line, generate_tables
+from .core import DEDUP_MODES, NotAssociativeError, _check_size, named_family
 from .engine import (
     DEFAULT_BUDGET,
     WORK_CAP,
@@ -35,11 +36,10 @@ from .engine import (
     word_counts,
     word_total,
 )
-from .machine import build_cayley_machine, machine_to_dot
-from .tableio import TableParseError, parse_entries, parse_natural, parse_table
-from .verify import run_verify
+from .tableio import TableParseError, _shifted, parse_entries, parse_natural, parse_table
 
 PARSE_ERROR = 2
+OUTPUT_ERROR = 2
 ASSOCIATIVITY_ERROR = 3
 DISAGREEMENT = 4
 RESOURCE_LIMIT = 5
@@ -95,18 +95,26 @@ def _parse_letters(raw: str, what: str, n: int):
 
 
 def cmd_classify(args) -> int:
+    import json
+
+    from .classify import classify, report_to_json
+
     S = load_input(args.input)
     print(json.dumps(report_to_json(classify(S)), indent=2))
     return 0
 
 
 def cmd_machine(args) -> int:
+    from .machine import build_cayley_machine, machine_to_dot
+
     S = load_input(args.input)
     _write(args.dot, machine_to_dot(build_cayley_machine(S)))
     return 0
 
 
 def cmd_enumerate(args) -> int:
+    import json
+
     S = load_input(args.input)
     result = enumerate_semigroup(S, args.budget)
     if isinstance(result, Closed):
@@ -158,6 +166,10 @@ def cmd_growth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
+    from .verify import run_verify
+
     report = run_verify(
         args.max_order, budget=args.budget, free_len=args.free_len, dedup=args.dedup
     )
@@ -174,6 +186,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import CorpusSpec, dump_line, generate_tables
+
     tables = generate_tables(CorpusSpec(args.order, args.dedup))
     _write(args.out, "".join(dump_line(S) + "\n" for S in tables))
     return 0
@@ -242,9 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # unbuffered (python -u): a text layer straight over the file drops
+        # the rest of a write that a departing reader cut short, where a
+        # buffered one writes on and raises BrokenPipeError
+        sys.stdout = open(
+            stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False
+        )
+    code = 0
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # shutdown cannot fail again (the Python docs' SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code or OUTPUT_ERROR
     except NotAssociativeError as err:
         print("error: %s" % err, file=sys.stderr)
         return ASSOCIATIVITY_ERROR
@@ -254,6 +284,8 @@ def main(argv=None) -> int:
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return PARSE_ERROR
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 # Constructors refuse to build tables larger than this.
 SIZE_CAP = 64
 
+# How corpus.generate_tables and canonical_form tell tables apart: by their
+# labeled rows, up to isomorphism, or up to isomorphism and anti-isomorphism.
+DEDUP_MODES = ("labeled", "up_to_iso", "up_to_iso_anti")
+
 
 class MalformedTableError(ValueError):
     """The rows do not form a square table with entries in 0..n-1."""

@@ -14,15 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import MalformedTableError, MulTable, _check_cap, _check_size, make_table
+from .core import DEDUP_MODES, MalformedTableError, MulTable, _check_cap, _check_size, make_table
 from .tableio import parse_entries, parse_natural
 
 # Full enumeration is only sane for tiny orders; canonical forms go a bit
 # further since they only pay n! per call.
 ENUMERATION_CAP = 4
 CANONICAL_CAP = 6
-
-DEDUP_MODES = ("labeled", "up_to_iso", "up_to_iso_anti")
 
 
 @dataclass(frozen=True)

@@ -391,7 +391,14 @@ class BehaviorGraph:
         such class is a behavior the graph does not hold, whatever the
         remaining passes do.  StateCapError still comes first, from the
         composition that precedes the passes.
+
+        A state outside 0..len(self) - 1 or an element outside 0..|S| - 1
+        raises ValueError (seeds from _breadth_first are not checked).
         """
+        if not isinstance(seeds, _Seeds):
+            seeds = list(seeds)
+            _check_elements("state", [c for c, _ in seeds], len(self.out))
+            _check_elements("element", [h for _, h in seeds], len(self.rows))
         rows, rep, reduced = self.rows, self.rep, self.reduced
         out, nxt, act_rep = self.out, self.nxt, self.act_rep
         base = top = len(out)
@@ -446,7 +453,9 @@ class BehaviorGraph:
         """The canonical machine of the behavior at the given state: the
         states it reaches, numbered breadth-first, letter x reading entry
         column[x], where the first letter to read entry k precedes the first
-        to read entry k + 1."""
+        to read entry k + 1.  A state outside 0..len(self) - 1 raises
+        ValueError."""
+        _check_elements("state", (state,), len(self.out))
         out, nxt = self.out, self.nxt
         order = [state]
         index = {state: 0}
@@ -491,6 +500,13 @@ class Exceeded:
 
 
 EnumerationResult = Closed | Exceeded
+
+
+class _Seeds(list):
+    """The (state, element) seeds of one length of _breadth_first, valid by
+    construction, so BehaviorGraph.extend does not check them: the check
+    would cost 2-7% of enumerate_semigroup on the 41 tables of order <= 4
+    whose C(S) is infinite."""
 
 
 def _breadth_first(graph, gens):
@@ -556,7 +572,7 @@ def _breadth_first(graph, gens):
         frontier = range(len(right), len(parent))
         composed = [every if s < 0 else new_letters[s] for s in suffix[len(right) :]]
         states = list(index)[len(right) :]
-        seeds = [(st, gens[i]) for st, row in zip(states, composed) for i in row]
+        seeds = _Seeds([(st, gens[i]) for st, row in zip(states, composed) for i in row])
         results = iter(graph.extend(seeds))
         # after the extend, so a length that fresh_bound stops fills none
         for p, j in parent[len(left) : len(right)]:

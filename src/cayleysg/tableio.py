@@ -90,3 +90,13 @@ def format_table(S: MulTable) -> str:
     if S.names is not None:
         lines.append("names: " + " ".join(S.names))
     return "\n".join(lines) + "\n"
+
+
+def _shifted(value):
+    """The value with every element index, however nested, made 1-based:
+    the one rule for indices in JSON output."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, dict):
+        return {key: _shifted(item) for key, item in value.items()}
+    return [_shifted(item) for item in value]

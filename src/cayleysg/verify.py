@@ -17,7 +17,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .classify import _shifted, classify, free_pair_check
+from .classify import classify, free_pair_check
 from .corpus import ENUMERATION_CAP, CorpusSpec, dump_line, generate_tables
 from .engine import (
     DEFAULT_BUDGET,
@@ -30,6 +30,7 @@ from .engine import (
 )
 from .green import BRUTE_FORCE_CAP, brute_force_inflation, is_h_trivial
 from .core import MulTable, _check_size
+from .tableio import _shifted
 
 
 @dataclass(frozen=True)

@@ -412,6 +412,32 @@ def test_a_stopped_extend_leaves_the_graph_as_it_was():
     assert len(graph) > before[0]
 
 
+def test_behavior_graph_checks_its_indices():
+    graph = c.BehaviorGraph(c.cyclic_group(3))
+    graph.extend(every_product(graph, range(3)))
+    before = graph_state(graph)
+    n = len(graph)
+    for state in (-1, n, True, 1.0, None):
+        with pytest.raises(ValueError):
+            graph.element(state)
+    bad_seeds = [
+        [(0, -1)],
+        [(0, 3)],
+        [(0, True)],
+        [(-1, 0)],
+        [(n, 0)],
+        [(True, 1)],
+        [(1, 0), (True, 1)],
+        [(0,)],
+    ]
+    for seeds in bad_seeds:
+        with pytest.raises(ValueError):
+            graph.extend(seeds)
+    assert graph_state(graph) == before
+    assert graph.element(n - 1) == graph.element(n - 1)
+    assert graph.extend(iter([(0, 2)])) == graph.extend([(0, 2)])
+
+
 @pytest.mark.parametrize(
     "S", [c.cyclic_group(3), c.example_ijkf(), c.rectangular_band(2, 2), c.null(3)]
 )
