@@ -72,8 +72,8 @@ def load_input(token: str):
     return parse_table(text)
 
 
-def _write(path: str | None, text: str):
-    if path is None or path == "-":
+def _write(path: str, text: str):
+    if path == "-":
         sys.stdout.write(text)
         return
     try:
@@ -175,7 +175,7 @@ def cmd_verify(args) -> int:
     )
     text = json.dumps(report.to_json(), indent=2) + "\n"
     _write(args.out, text)
-    if args.out not in (None, "-"):
+    if args.out != "-":
         summary = "checked %d tables: %d disagreements, %d inconclusive" % (
             report.tables_checked,
             len(report.disagreements),
@@ -242,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=parse_natural, default=DEFAULT_BUDGET)
     p.add_argument("--free-len", type=parse_natural, default=4)
     p.add_argument("--dedup", choices=DEDUP_MODES, default="up_to_iso_anti")
-    p.add_argument("--out", default=None, help="report path (default stdout)")
+    p.add_argument("--out", default="-", help="report path ('-' for stdout)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corpus", help="dump all tables of one order, one per line")
     p.add_argument("--order", type=parse_natural, required=True)
     p.add_argument("--dedup", choices=DEDUP_MODES, default="up_to_iso_anti")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.set_defaults(func=cmd_corpus)
 
     return parser

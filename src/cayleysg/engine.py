@@ -252,10 +252,9 @@ def _refine(out_rows, nxt_rows, established=0, seeds=0, need=None):
         # discrete: no later state equals an established one or another
         # later state, so each is a fresh class in state order
         return list(range(len(cls)))
-    if not k:
-        return cls
     # the live established states are alone in their classes, so the last
-    # pass numbered them 0..len(live)-1; fresh classes follow from k on
+    # pass numbered them 0..len(live)-1; fresh classes follow from k on (for
+    # k = 0 the remap is the identity)
     state_of = [*live, *range(k, k + count - len(live))]
     return [*range(k), *map(state_of.__getitem__, later)]
 
@@ -393,12 +392,11 @@ class BehaviorGraph:
         composition that precedes the passes.
 
         A state outside 0..len(self) - 1 or an element outside 0..|S| - 1
-        raises ValueError (seeds from _breadth_first are not checked).
+        raises ValueError.
         """
-        if not isinstance(seeds, _Seeds):
-            seeds = list(seeds)
-            _check_elements("state", [c for c, _ in seeds], len(self.out))
-            _check_elements("element", [h for _, h in seeds], len(self.rows))
+        seeds = list(seeds)
+        _check_elements("state", [c for c, _ in seeds], len(self.out))
+        _check_elements("element", [h for _, h in seeds], len(self.rows))
         rows, rep, reduced = self.rows, self.rep, self.reduced
         out, nxt, act_rep = self.out, self.nxt, self.act_rep
         base = top = len(out)
@@ -502,13 +500,6 @@ class Exceeded:
 EnumerationResult = Closed | Exceeded
 
 
-class _Seeds(list):
-    """The (state, element) seeds of one length of _breadth_first, valid by
-    construction, so BehaviorGraph.extend does not check them: the check
-    would cost 2-7% of enumerate_semigroup on the 41 tables of order <= 4
-    whose C(S) is infinite."""
-
-
 def _breadth_first(graph, gens):
     """Breadth-first search by word length of the semigroup generated by
     the behaviors of gens: index maps the graph state of each element to its
@@ -572,7 +563,7 @@ def _breadth_first(graph, gens):
         frontier = range(len(right), len(parent))
         composed = [every if s < 0 else new_letters[s] for s in suffix[len(right) :]]
         states = list(index)[len(right) :]
-        seeds = _Seeds([(st, gens[i]) for st, row in zip(states, composed) for i in row])
+        seeds = [(st, gens[i]) for st, row in zip(states, composed) for i in row]
         results = iter(graph.extend(seeds))
         # after the extend, so a length that fresh_bound stops fills none
         for p, j in parent[len(left) : len(right)]:

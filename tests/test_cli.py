@@ -208,6 +208,24 @@ def test_verify_report_file(capsys, tmp_path):
     assert "checked 1 tables" in out
 
 
+def test_an_explicit_dash_writes_what_the_default_writes(capsys):
+    # '-' is the default of --dot and --out: stdout, and no verify summary
+    def without_elapsed(out):
+        return re.sub(r'\n  "elapsed_seconds": [0-9.e-]+', "", out)
+
+    for argv, option in [
+        (["machine", "family:left_zero:2"], "--dot"),
+        (["corpus", "--order", "2"], "--out"),
+        (["verify", "--max-order", "1"], "--out"),
+    ]:
+        code, default, _ = run(capsys, *argv)
+        assert code == 0
+        code, dash, _ = run(capsys, *argv, option, "-")
+        assert code == 0
+        assert without_elapsed(dash) == without_elapsed(default), argv
+        assert not re.search(r"^checked \d+ tables", dash, re.M)
+
+
 def test_growth_profile_matches_free_reference(capsys):
     code, out, _ = run(capsys, "growth", "family:cyclic_group:2", "--max-len", "4")
     assert code == 0
