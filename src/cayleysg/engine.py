@@ -261,13 +261,21 @@ def _refine(out_rows, nxt_rows, established=0, seeds=0, need=None):
 
 def _minimize(out_rows, nxt_rows):
     """The class of each state and the quotient machine's output and
-    successor rows, its states numbered as the classes of _refine."""
+    successor rows, its states numbered as the classes of _refine.
+
+    Classes are numbered by first occurrence, so the partition is discrete
+    exactly when the last state's class is len(cls) - 1 (or there is no
+    state); a discrete refinement is its own quotient, returned as fresh
+    lists of the same rows, as callers extend the lists they get."""
     cls = _refine(out_rows, nxt_rows)
+    if not cls or cls[-1] == len(cls) - 1:
+        return cls, list(out_rows), list(nxt_rows)
     qout, qnxt = [], []
+    renumber = cls.__getitem__
     for s, c in enumerate(cls):
         if c == len(qout):
             qout.append(out_rows[s])
-            qnxt.append(tuple(cls[t] for t in nxt_rows[s]))
+            qnxt.append(tuple(map(renumber, nxt_rows[s])))
     return cls, qout, qnxt
 
 
@@ -297,11 +305,15 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
     as the words are collected breadth-first in letter order and only the
     first word of a class can bring a new class into the closure (any later
     word of it has sections equivalent to the first word's, letter by letter).
+    When no two residual words are equivalent (over a nontrivial group,
+    whose Cayley machines generate a free semigroup, the closure of a
+    length-k word is all |S|**k words), the refinement is discrete and the
+    collected machine is its own quotient.
     """
     word = _check_word(S, word)
     _check_int("closure_cap", closure_cap)
     rows = S.rows
-    index = {word: 0}
+    number = {word: 0}.setdefault
     order = [word]
     out_rows, nxt_rows = [], []
     for w in order:
@@ -309,12 +321,12 @@ def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElemen
         out_rows.append(prefix_rows[-1])
         nxt = []
         for s in zip(*prefix_rows):
-            if s not in index:
-                if len(order) >= closure_cap:
-                    raise ClosureCapError(len(order))
-                index[s] = len(order)
+            t = number(s, len(order))
+            if t == len(order):
+                if t >= closure_cap:
+                    raise ClosureCapError(t)
                 order.append(s)
-            nxt.append(index[s])
+            nxt.append(t)
         nxt_rows.append(tuple(nxt))
     _, qout, qnxt = _minimize(out_rows, nxt_rows)
     return AutElement(S.order, tuple(qnxt), tuple(qout))

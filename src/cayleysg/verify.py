@@ -112,9 +112,11 @@ def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
     )
     checks.append(("d_class_products", products, ""))
 
-    if not report.is_finite:
-        h_class = report.witnesses["infinite"]["h_class"]
-        stabilizer = report.witnesses["infinite"]["stabilizer"]
+    witness = report.witnesses.get("infinite")
+    if not report.is_finite and witness is None:
+        checks.append(("infinite_witness", False, "classify gave no infinite witness"))
+    elif not report.is_finite:
+        h_class, stabilizer = witness["h_class"], witness["stabilizer"]
         checks.append(("infinite_witness", len(h_class) > 1 and len(stabilizer) > 0, ""))
         # membership depends on the row alone, so the first element of S
         # with a stabilizer row is the first stabilizer element with it

@@ -12,7 +12,8 @@ not move an answer.  A digest key is "<slice>/<group>":
 - slice "small" is every labeled table of order 1-3 (122 tables); slice
   "large" is the 126 order-4 classes up to isomorphism and
   anti-isomorphism, left_zero(2) x right_zero(3), symmetric_group(3) and
-  the 13 direct products of the benchmark's closed-wide workload;
+  the 13 direct products of the benchmark's closed-wide workload; slice
+  "groups" is the groups of order 2-4 and symmetric_group(3);
 - group "enumerate" is enumerate_semigroup at budgets n and 50,
   "enumerate_10000" at budget 10 000 (most of the run time),
   "state_cap_60" at the default budget with state_cap=60 (order <= 4
@@ -22,10 +23,14 @@ not move an answer.  A digest key is "<slice>/<group>":
   "canonical_form" the forms up to isomorphism and up to isomorphism and
   anti-isomorphism (SizeCapError above order 6), and "canonicalize" the
   serialized canonicalize of every word of length 1-3 over a table of order
-  <= 6 and of every one-letter word over a wider one (large only).
+  <= 6 and of every one-letter word over a wider one (large only), and
+  "canonicalize_long" (groups only) the serialized canonicalize of one
+  seeded word of each length 4-8 whose closure, all |S|**length residual
+  words, is within the default closure cap.
 
 An exception is an answer too and is recorded by its type name.  The
-tier-1 suite checks the small slice without enumerate_10000.
+tier-1 suite checks the small slice without enumerate_10000, and the
+groups slice.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -75,6 +81,16 @@ def large_tables():
         c.symmetric_group(3),
     ]
     return classes + extra + products
+
+
+def group_tables():
+    return [
+        c.cyclic_group(2),
+        c.cyclic_group(3),
+        c.cyclic_group(4),
+        c.direct_product(c.cyclic_group(2), c.cyclic_group(2)),
+        c.symmetric_group(3),
+    ]
 
 
 def _attempt(call):
@@ -149,6 +165,17 @@ def _canonicalize(S):
     ]
 
 
+def _canonicalize_long(S):
+    n = S.order
+    rng = random.Random(n)
+    words = [
+        tuple(rng.randrange(n) for _ in range(length))
+        for length in range(4, 9)
+        if n**length <= c.engine.CLOSURE_CAP
+    ]
+    return [c.canonicalize(S, word).serialize().decode("ascii") for word in words]
+
+
 GROUPS = {
     "enumerate": _enumerate,
     "enumerate_10000": _enumerate_10000,
@@ -159,10 +186,15 @@ GROUPS = {
     "green": _green,
     "canonical_form": _canonical_form,
     "canonicalize": _canonicalize,
+    "canonicalize_long": _canonicalize_long,
 }
-SLICES = {"small": small_tables, "large": large_tables}
-# Groups each slice leaves out.
-SKIPPED = {"small": ("canonicalize",), "large": ("free_pair_check",)}
+SLICES = {"small": small_tables, "large": large_tables, "groups": group_tables}
+# Groups each slice leaves out; the groups slice runs canonicalize_long only.
+SKIPPED = {
+    "small": ("canonicalize", "canonicalize_long"),
+    "large": ("free_pair_check", "canonicalize_long"),
+    "groups": tuple(group for group in GROUPS if group != "canonicalize_long"),
+}
 
 
 def digest(tables, answer) -> str:

@@ -297,6 +297,82 @@ def test_canonicalize_closure_cap():
         c.canonicalize(c.cyclic_group(3), (1, 2, 1, 2, 1, 2, 1), closure_cap=20)
 
 
+@pytest.mark.parametrize("S, word", [(c.cyclic_group(3), (1, 2)), (c.cyclic_group(2), (1, 0, 1))])
+def test_canonicalize_closure_cap_boundary(S, word):
+    # the closure of a word over a group is all |S|**len(word) words: a cap
+    # of that many passes, one less raises with the cap as its count
+    total = S.order ** len(word)
+    assert c.canonicalize(S, word, closure_cap=total).n_states == total
+    with pytest.raises(c.ClosureCapError) as caught:
+        c.canonicalize(S, word, closure_cap=total - 1)
+    assert caught.value.count == total - 1
+
+
+def residual_classes(S, word):
+    """The number of behaviors among the residual words of word, by
+    breadth-first sections and textbook Moore refinement."""
+    order = [word]
+    index = {word: 0}
+    out_rows, nxt_rows = [], []
+    for w in order:
+        out_rows.append(c.first_letter_action(S, w))
+        nxt = []
+        for x in range(S.order):
+            s = c.section(S, w, x)
+            if s not in index:
+                index[s] = len(order)
+                order.append(s)
+            nxt.append(index[s])
+        nxt_rows.append(nxt)
+    return len(order), len(set(oracles.moore_classes(out_rows, nxt_rows)))
+
+
+@pytest.mark.parametrize(
+    "S, lengths",
+    [
+        (c.cyclic_group(2), range(4, 10)),
+        (c.cyclic_group(3), range(4, 8)),
+        (c.cyclic_group(4), range(4, 6)),
+        (c.symmetric_group(3), (4,)),
+    ],
+)
+def test_canonicalize_keeps_every_residual_word_of_a_group(S, lengths):
+    rng = random.Random(S.order)
+    for length in lengths:
+        word = tuple(rng.randrange(S.order) for _ in range(length))
+        element = c.canonicalize(S, word)
+        assert element.n_states == S.order**length
+        for _ in range(20):
+            prefix = [rng.randrange(S.order) for _ in range(12)]
+            assert element.apply(prefix) == c.act(S, word, prefix)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        c.example_ijkf(),
+        c.rectangular_band(2, 2),
+        c.null(3),
+        c.make_table([[0, 0], [0, 1]]),
+        c.direct_product(c.cyclic_group(2), c.right_zero(2)),
+    ],
+)
+def test_canonicalize_quotients_the_residual_words_of_a_non_group(S):
+    rng = random.Random(S.order)
+    merged = 0
+    for length in range(4, 9):
+        for _ in range(5):
+            word = tuple(rng.randrange(S.order) for _ in range(length))
+            element = c.canonicalize(S, word)
+            words, classes = residual_classes(S, word)
+            assert element.n_states == classes
+            merged += classes < words
+            for _ in range(20):
+                prefix = [rng.randrange(S.order) for _ in range(12)]
+                assert element.apply(prefix) == c.act(S, word, prefix)
+    assert merged > 0  # some words take the quotient path
+
+
 # enumerate_semigroup
 
 
@@ -410,6 +486,19 @@ def test_a_stopped_extend_leaves_the_graph_as_it_was():
     graph.fresh_bound = None
     graph.extend(seeds)
     assert len(graph) > before[0]
+
+
+def test_a_behavior_graph_extends_its_own_rows():
+    # the one-letter machine of a group is discrete, so it is its own
+    # quotient; the graph's out and nxt must still be lists of its own
+    S = c.cyclic_group(3)
+    graph = c.BehaviorGraph(S)
+    assert graph.out is not graph.rep and graph.nxt is not graph.reduced
+    rep, reduced = list(graph.rep), list(graph.reduced)
+    for _ in range(3):
+        graph.extend(every_product(graph, range(S.order)))
+    assert len(graph) == 3 + 9 + 27 + 81  # C(S) is free of rank 3
+    assert graph.rep == rep and graph.reduced == reduced
 
 
 def test_behavior_graph_checks_its_indices():

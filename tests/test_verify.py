@@ -85,6 +85,18 @@ def test_check_table_reports_every_lie_in_check_order(monkeypatch):
     assert inconclusive == []
 
 
+def test_check_table_reports_an_infinite_claim_without_its_witness(monkeypatch):
+    # left_zero(2) has a finite C(S), so its report holds no infinite witness
+    S = left_zero(2)
+    lying = dataclasses.replace(verify.classify(S), is_finite=False)
+    monkeypatch.setattr(verify, "classify", lambda _: lying)
+    passed, disagreements, inconclusive = check_table(S)
+    assert passed == 7
+    assert [item["check"] for item in disagreements] == ["finite", "infinite_witness"]
+    assert disagreements[1]["details"] == "classify gave no infinite witness"
+    assert inconclusive == []
+
+
 def test_check_table_reports_a_wrong_free_rank_with_its_counts(monkeypatch):
     S = cyclic_group(2)
     lying = dataclasses.replace(verify.classify(S), free_rank=3)
