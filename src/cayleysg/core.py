@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 # Constructors refuse to build tables larger than this.
 SIZE_CAP = 64
@@ -109,18 +110,26 @@ def _check_shape(rows):
                 raise MalformedTableError("entry %r out of range 0..%d" % (v, n - 1))
 
 
+def _picker(positions):
+    """The map row -> tuple(row[k] for k in positions), one C call."""
+    if len(positions) == 1:
+        (k,) = positions
+        return lambda row: (row[k],)
+    return itemgetter(*positions)
+
+
 def associativity_failure(rows):
-    """A triple (a, b, c) with (a*b)*c != a*(b*c), or None if associative."""
-    n = len(rows)
-    for a in range(n):
-        row_a = rows[a]
-        for b in range(n):
-            ab = row_a[b]
-            row_ab = rows[ab]
-            row_b = rows[b]
-            for c in range(n):
-                if row_ab[c] != row_a[row_b[c]]:
-                    return (a, b, c)
+    """The first triple (a, b, c) with (a*b)*c != a*(b*c), or None if
+    associative.  The picker of row b turns row a into the row of a*(b*-),
+    compared whole with row a*b; only a mismatch is scanned for its c."""
+    rows = [tuple(row) for row in rows]
+    pickers = [_picker(row) for row in rows]
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
+            a_bc = pickers[b](row_a)
+            if a_bc != rows[ab]:
+                c = next(c for c, (x, y) in enumerate(zip(rows[ab], a_bc)) if x != y)
+                return (a, b, c)
     return None
 
 

@@ -31,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import MulTable, _check_elements, _check_int, _check_size
+from .core import MulTable, _check_elements, _check_int, _check_size, _picker
 
 DEFAULT_BUDGET = 10_000
 CLOSURE_CAP = 10_000
@@ -279,14 +279,6 @@ def _minimize(out_rows, nxt_rows):
     return cls, qout, qnxt
 
 
-def _picker(positions):
-    """The map row -> tuple(row[k] for k in positions), one C call."""
-    if len(positions) == 1:
-        (k,) = positions
-        return lambda row: (row[k],)
-    return itemgetter(*positions)
-
-
 def canonicalize(S: MulTable, word, closure_cap: int = CLOSURE_CAP) -> AutElement:
     """The minimal pointed machine of the transformation named by the word.
 
@@ -361,8 +353,9 @@ class BehaviorGraph:
         self.column = tuple(first.setdefault(col, len(first)) for col in zip(*S.rows))
         inputs = [self.column.index(k) for k in range(len(first))]
         # reduced[a] is row a at those letters, rep[a] the first element with row a
-        self.reduced = [tuple(row[x] for x in inputs) for row in S.rows]
-        self.rep = [S.rows.index(row) for row in S.rows]
+        self.reduced = list(map(_picker(inputs), S.rows))
+        first_with: dict = {}
+        self.rep = [first_with.setdefault(row, a) for a, row in enumerate(S.rows)]
         cls, self.out, self.nxt = _minimize(self.rep, self.reduced)
         # behavior of the one-letter word (g,) for each element g
         self.generator_state = tuple(cls)
@@ -476,7 +469,7 @@ class BehaviorGraph:
                     order.append(t)
         pick = _picker(self.column)
         renumber = index.__getitem__
-        transition = tuple(tuple(map(renumber, pick(nxt[s]))) for s in order)
+        transition = tuple(pick(tuple(map(renumber, nxt[s]))) for s in order)
         output = tuple(self.rows[out[s]] for s in order)
         return AutElement(len(self.column), transition, output)
 
@@ -607,20 +600,23 @@ def enumerate_semigroup(
     transformations are proven to exist.  Row a of the table follows the
     right Cayley graph: a * (p * g) = (a * p) * g.
 
-    With every element of S a generator, the graph's states are exactly the
-    elements found so far, in discovery order: a pair state composes a graph
-    state with a generator, so a fresh class is an element new at this
-    depth, which is a composed product and so holds a seed, and _refine
-    numbers it by its first seed.  So fresh_bound = budget + 1 - len(graph)
-    stops a depth as soon as its Moore passes prove the budget passed, with
-    the answer the full depth gives, before its absorption and Cayley rows.
+    With one generator per distinct row, the first element with it (a
+    repeated row's products are never new, so the elements and their order
+    are those of every element a generator), the graph's states are exactly
+    the elements found so far, in discovery order: a pair state composes a
+    graph state with an element, whose machine is a generator's, so a fresh
+    class is an element new at this depth, which is a composed product and
+    so holds a seed, and _refine numbers it by its first seed.  So
+    fresh_bound = budget + 1 - len(graph) stops a depth as soon as its Moore
+    passes prove the budget passed, with the answer the full depth gives,
+    before its absorption and Cayley rows.
     """
     n = S.order
     if _check_int("budget", budget) < n:
-        raise ValueError("budget %d below the number of generators %d" % (budget, n))
+        raise ValueError("budget %d below the order %d" % (budget, n))
     graph = BehaviorGraph(S, state_cap)
     try:
-        for _, right, parent in _breadth_first(graph, range(n)):
+        for _, right, parent in _breadth_first(graph, sorted(set(graph.rep))):
             graph.fresh_bound = budget + 1 - len(graph)
     except FreshBoundReached:
         return Exceeded(budget + 1)
@@ -660,8 +656,12 @@ def word_counts(S: MulTable, gens, work_cap=None):
     """How many distinct transformations the words over gens of length at
     most l name, for l = 1, 2, ...; the count stays put from the first
     length that adds none.  Raises WorkCapError before a length whose words
-    (sum of len(gens)**l) are more than work_cap (None: no cap)."""
-    counts = (len(index) for index, _, _ in _breadth_first(BehaviorGraph(S), gens))
+    (sum of len(gens)**l) are more than work_cap (None: no cap).  Letters
+    with equal rows name one machine, so the search takes one letter per
+    distinct row among gens."""
+    graph = BehaviorGraph(S)
+    letters = sorted({graph.rep[g] for g in gens})
+    counts = (len(index) for index, _, _ in _breadth_first(graph, letters))
     total = 0
     for length in itertools.count(1):
         if work_cap is not None:

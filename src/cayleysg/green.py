@@ -51,11 +51,15 @@ def _one_sided_ideals(rows):
 def green_relations(S: MulTable) -> GreenData:
     rows = S.rows
     right, left = _one_sided_ideals(rows)
-    # S^1aS^1 is the union of the right ideals bS^1 over b in S^1a
-    two_sided = [frozenset().union(*(right[b] for b in ideal)) for ideal in left]
-
     r_class = _number(right)
     l_class = _number(left)
+    # S^1aS^1 is the union of the right ideals bS^1 over b in S^1a: formed
+    # once per L-class, over one b per R-class
+    unions = [
+        frozenset().union(*{r_class[b]: right[b] for b in ideal}.values())
+        for ideal in dict(zip(l_class, left)).values()
+    ]
+    two_sided = [unions[l] for l in l_class]
     h_class = _number(tuple(zip(r_class, l_class)))
     d_class = _number(two_sided)
 

@@ -29,8 +29,9 @@ not move an answer.  A digest key is "<slice>/<group>":
   words, is within the default closure cap.
 
 An exception is an answer too and is recorded by its type name.  The
-tier-1 suite checks the small slice without enumerate_10000, and the
-groups slice.
+tier-1 suite checks the small slice without enumerate_10000, the groups
+slice, and the enumerate, green and count_distinct_words groups of the
+large slice.
 """
 
 from __future__ import annotations

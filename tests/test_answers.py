@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 import answers
 
 
@@ -14,4 +16,13 @@ def test_long_group_words_match_the_frozen_digest():
     # words of length 4-8 over groups, whose refinement is discrete
     computed = answers.digests(("groups",))
     assert list(computed) == ["groups/canonicalize_long"]
+    assert answers.mismatches(computed) == []
+
+
+@pytest.mark.parametrize("group", ["enumerate", "green", "count_distinct_words"])
+def test_order_4_and_closed_wide_answers_match_the_frozen_digests(group):
+    # the large slice covers the 126 order-4 classes and the 13 closed-wide
+    # products, whose repeated rows each search composes once
+    computed = answers.digests(("large",), skip=tuple(set(answers.GROUPS) - {group}))
+    assert list(computed) == ["large/%s" % group]
     assert answers.mismatches(computed) == []

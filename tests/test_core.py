@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 import types
@@ -31,6 +32,27 @@ def test_check_associativity_accepts_group_table():
 def test_check_associativity_rejects_counterexample():
     assert not c.check_associativity(NON_ASSOC)
     assert not oracles.is_associative(NON_ASSOC)
+
+
+def test_associativity_failure_is_the_first_triple_of_a_literal_scan():
+    # whole rows are compared first and only a mismatch is scanned for its
+    # c, so the triple must still be the first failing (a, b, c)
+    rng = random.Random(0)
+    for n in range(1, 6):
+        for _ in range(200):
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            literal = next(
+                (
+                    (a, b, x)
+                    for a in range(n)
+                    for b in range(n)
+                    for x in range(n)
+                    if rows[rows[a][b]][x] != rows[a][rows[b][x]]
+                ),
+                None,
+            )
+            assert c.associativity_failure(rows) == literal
+            assert (literal is None) == oracles.is_associative(rows)
 
 
 def test_check_associativity_agrees_with_oracle_on_all_order2_grids():

@@ -614,6 +614,25 @@ def test_a_free_closure_composes_every_product(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "S, seeds, size",
+    [
+        (c.rectangular_band(2, 3), 4, 2),
+        (c.example_ijkf(), 4, 2),
+        (c.rectangular_band(8, 8), 64, 8),
+    ],
+    ids=["rectangular_band_2_3", "example_ijkf", "rectangular_band_8_8"],
+)
+def test_repeated_rows_are_composed_once(monkeypatch, S, seeds, size):
+    # elements with equal rows name one machine, so each distinct row is
+    # one generator: with every element a generator the search composed
+    # 12, 8 and 512 seeds
+    result, composed = extend_seeds(monkeypatch, S, 10_000)
+    assert isinstance(result, c.Closed)
+    assert len(result.elements) == size
+    assert composed == seeds
+
+
+@pytest.mark.parametrize(
     "line",
     [
         "4;1 1 1 4;1 2 3 4;1 3 2 4;4 4 4 1",

@@ -16,9 +16,36 @@ def test_green_classes_match_mutual_membership_oracle(small_tables):
         assert oracles.classes_to_pairs(g.d_class) == d
 
 
-def test_green_classes_match_the_oracle_on_an_order_16_product(product16):
-    g = c.green_relations(product16)
-    r, l, h, d = oracles.mutual_membership_green(product16.rows)
+def closed_wide_64():
+    """The order-64 closed-wide product with the largest L-classes (8)."""
+    classes = c.generate_tables(c.CorpusSpec(4, "up_to_iso_anti"))
+    finite = [S for S in classes if c.is_h_trivial(S)]
+    return c.direct_product(c.direct_product(finite[33], finite[66]), finite[22])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        "product16",
+        "cyclic_group_64",
+        "rectangular_band_8_8",
+        "left_zero_64",
+        "closed_wide_64",
+    ],
+)
+def test_green_classes_match_the_oracle_on_large_tables(table, request):
+    # green_relations forms S^1aS^1 once per L-class, over one right ideal
+    # per R-class: the order-64 tables have L- or R-classes of 8 to 64
+    # elements
+    S = {
+        "product16": lambda: request.getfixturevalue("product16"),
+        "cyclic_group_64": lambda: c.cyclic_group(64),
+        "rectangular_band_8_8": lambda: c.rectangular_band(8, 8),
+        "left_zero_64": lambda: c.left_zero(64),
+        "closed_wide_64": closed_wide_64,
+    }[table]()
+    g = c.green_relations(S)
+    r, l, h, d = oracles.mutual_membership_green(S.rows)
     assert oracles.classes_to_pairs(g.r_class) == r
     assert oracles.classes_to_pairs(g.l_class) == l
     assert oracles.classes_to_pairs(g.h_class) == h
