@@ -115,10 +115,10 @@ def inflation_of_right_zero(S: MulTable):
 
 
 def brute_force_inflation(S: MulTable) -> bool:
-    """Search directly for a right zero subsemigroup T and an assignment of
-    every element to a class over T such that each product a*b lands on the
-    target of b.  Independent of inflation_of_right_zero; order above
-    BRUTE_FORCE_CAP raises SizeCapError.
+    """Test-time oracle: search directly for a right zero subsemigroup T and
+    an assignment of every element to a class over T such that each product
+    a*b lands on the target of b.  Independent of inflation_of_right_zero;
+    order above BRUTE_FORCE_CAP raises SizeCapError.
     """
     n = S.order
     _check_cap(n, BRUTE_FORCE_CAP)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 
 import pytest
@@ -8,12 +9,16 @@ import pytest
 import cayleysg.verify as verify
 from cayleysg import (
     Closed,
+    CorpusSpec,
     SizeCapError,
     WorkCapError,
     cyclic_group,
     direct_product,
+    dump_line,
     example_ijkf,
+    generate_tables,
     left_zero,
+    null,
     right_zero,
     run_verify,
 )
@@ -50,19 +55,176 @@ def test_check_table_counts_for_infinite_input():
     assert inconclusive == []
 
 
-def test_check_table_reports_the_inflation_check_as_not_run_above_its_cap():
-    # order 8 is above BRUTE_FORCE_CAP: the check is inconclusive, not passed
+def test_check_table_checks_the_inflation_by_its_witness_above_order_6():
+    # order 8: the inflation check runs at every order, so it passes here
     S = direct_product(left_zero(2), right_zero(4))
-    passed, disagreements, inconclusive = check_table(S)
-    assert passed == 7
+    assert check_table(S) == (8, [], [])
+
+
+# products of order 7-12, finite and infinite, and whether each is an inflation
+PRODUCTS = {
+    "right_zero(3) x null(3)": (direct_product(right_zero(3), null(3)), True),
+    "null(2) x right_zero(4)": (direct_product(null(2), right_zero(4)), True),
+    "null(3) x null(4)": (direct_product(null(3), null(4)), True),
+    "right_zero(2)^2 x null(3)": (
+        direct_product(direct_product(right_zero(2), right_zero(2)), null(3)),
+        True,
+    ),
+    "left_zero(3) x null(3)": (direct_product(left_zero(3), null(3)), False),
+    "example_ijkf() x null(3)": (direct_product(example_ijkf(), null(3)), False),
+    "cyclic_group(2) x null(4)": (direct_product(cyclic_group(2), null(4)), False),
+    "cyclic_group(2) x left_zero(2) x null(2)": (
+        direct_product(direct_product(cyclic_group(2), left_zero(2)), null(2)),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("S, inflation", PRODUCTS.values(), ids=list(PRODUCTS))
+def test_check_table_agrees_on_products_of_order_7_to_12(S, inflation):
+    assert 7 <= S.order <= 12
+    assert ("inflation" in verify.classify(S).witnesses) == inflation
+    _, disagreements, inconclusive = check_table(S)
     assert disagreements == []
-    assert inconclusive == [
-        {
-            "table": verify.dump_line(S),
-            "check": "inflation_bruteforce",
-            "details": "not run above order 6",
-        }
+    assert inconclusive == []
+
+
+def _with_inflation_witness(monkeypatch, S, witness):
+    """Patch classify to give S's report with this inflation witness, or
+    with none when witness is None."""
+    report = verify.classify(S)
+    witnesses = {k: v for k, v in report.witnesses.items() if k != "inflation"}
+    if witness is not None:
+        witnesses["inflation"] = witness
+    lying = dataclasses.replace(report, witnesses=witnesses)
+    monkeypatch.setattr(verify, "classify", lambda _: lying)
+
+
+# an inflation of order 9: every row is 0 0 0 3 3 3 6 6 6 (0-based)
+INFLATION = direct_product(right_zero(3), null(3))
+WRONG_WITNESSES = {
+    "a member dropped": ((0, 3, 6), ((0, 1), (3, 4, 5), (6, 7, 8))),
+    "a member in two classes": ((0, 3, 6), ((0, 1, 2, 3), (3, 4, 5), (6, 7, 8))),
+    "a target outside its class": ((0, 0, 3, 6), ((0, 1), (2,), (3, 4, 5), (6, 7, 8))),
+    "an empty class": ((0, 0, 3, 6), ((0, 1, 2), (), (3, 4, 5), (6, 7, 8))),
+    "a target with no class": ((0, 3, 6, 7), ((0, 1, 2), (3, 4, 5), (6, 7, 8))),
+}
+
+
+@pytest.mark.parametrize(
+    "targets, classes", WRONG_WITNESSES.values(), ids=list(WRONG_WITNESSES)
+)
+def test_check_table_reports_a_wrong_inflation_witness(monkeypatch, targets, classes):
+    _with_inflation_witness(monkeypatch, INFLATION, {"targets": targets, "classes": classes})
+    passed, disagreements, inconclusive = check_table(INFLATION)
+    assert passed == 7
+    assert disagreements == [
+        {"table": dump_line(INFLATION), "check": "inflation", "details": ""}
     ]
+    assert inconclusive == []
+
+
+@pytest.mark.parametrize(
+    "S, witness, checks",
+    [(INFLATION, None, 8), (cyclic_group(2), {"targets": (0,), "classes": ((0, 1),)}, 9)],
+    ids=["missing", "made up"],
+)
+def test_check_table_reports_a_missing_or_made_up_inflation_witness(
+    monkeypatch, S, witness, checks
+):
+    # INFLATION's rows are all equal; the two rows of Z2 differ
+    _with_inflation_witness(monkeypatch, S, witness)
+    passed, disagreements, _ = check_table(S)
+    assert passed == checks - 1
+    assert disagreements == [{"table": dump_line(S), "check": "inflation", "details": ""}]
+
+
+def _weakened(**fields):
+    """A classify that computes each named field as fields[name](S, report)
+    from S and its true report, and keeps the rest of the report."""
+
+    def mutant(S, report):
+        changed = {name: field(S, report) for name, field in fields.items()}
+        return dataclasses.replace(report, **changed)
+
+    return mutant
+
+
+def _kernel_h(report):
+    """An H-class of the minimal ideal K; K is one D-class, so all its
+    H-classes have this size."""
+    return report.green.h_class_of(report.green.minimal_ideal[0])
+
+
+def _has_connector(S, report):
+    """Some k in K satisfies s*k*t = s*t for all s, t."""
+    rows = S.rows
+    return any(all(rows[row[k]] == row for row in rows) for k in report.green.minimal_ideal)
+
+
+def _one_r_class(report):
+    return len({report.green.r_class[a] for a in report.green.minimal_ideal}) == 1
+
+
+def _drop_last_inflation_member(S, report):
+    witnesses = dict(report.witnesses)
+    if "inflation" in witnesses:
+        *kept, last = witnesses["inflation"]["classes"]
+        witnesses["inflation"] = dict(witnesses["inflation"], classes=(*kept, last[:-1]))
+    return witnesses
+
+
+# classify with one characterization weakened, and one wrong inflation witness
+MUTANTS = {
+    "finite := R-trivial": _weakened(is_finite=lambda S, r: len(set(r.green.r_class)) == S.order),
+    "finite := L-trivial": _weakened(is_finite=lambda S, r: len(set(r.green.l_class)) == S.order),
+    "free without the connector": _weakened(
+        is_free=lambda S, r: _one_r_class(r) and len(_kernel_h(r)) > 1,
+        free_rank=lambda S, r: len(_kernel_h(r)),
+    ),
+    "free without K one R-class": _weakened(
+        is_free=lambda S, r: len(_kernel_h(r)) > 1 and _has_connector(S, r),
+        free_rank=lambda S, r: len(_kernel_h(r)),
+    ),
+    "free rank := |K|": _weakened(free_rank=lambda S, r: len(r.green.minimal_ideal)),
+    "left zero without S*S = K": _weakened(
+        is_left_zero=lambda S, r: all(
+            S.rows[a][b] == b for a in r.green.minimal_ideal for b in r.green.minimal_ideal
+        )
+    ),
+    "left zero without K right zero": _weakened(
+        is_left_zero=lambda S, r: set().union(*S.rows) == set(r.green.minimal_ideal)
+    ),
+    "right zero := abc = ac for a in K": _weakened(
+        is_right_zero=lambda S, r: all(
+            S.rows[ab] == S.rows[a] for a in r.green.minimal_ideal for ab in S.rows[a]
+        )
+    ),
+    "trivial and group := |K| = 1": _weakened(
+        is_trivial=lambda S, r: len(r.green.minimal_ideal) == 1,
+        is_group=lambda S, r: len(r.green.minimal_ideal) == 1,
+    ),
+    "inflation witness without its last member": _weakened(
+        witnesses=_drop_last_inflation_member
+    ),
+}
+
+
+def test_every_weakened_classify_is_reported_as_a_disagreement(monkeypatch):
+    # budget 100 is exact at order <= 4, where the largest finite C(S) has 10
+    # elements; each table is enumerated once and shared by every mutant
+    tables = [S for n in range(1, 5) for S in generate_tables(CorpusSpec(n, "up_to_iso"))]
+    assert len(tables) == 218
+    monkeypatch.setattr(verify, "enumerate_semigroup", functools.cache(verify.enumerate_semigroup))
+    classify = verify.classify
+
+    def tables_catching(mutant):
+        monkeypatch.setattr(verify, "classify", lambda S: mutant(S, classify(S)))
+        return sum(bool(check_table(S, budget=100)[1]) for S in tables)
+
+    assert tables_catching(lambda S, report: report) == 0
+    caught = {name: tables_catching(mutant) for name, mutant in MUTANTS.items()}
+    assert all(caught.values()), caught
 
 
 def test_check_table_reports_a_lying_classifier(monkeypatch):
