@@ -23,11 +23,14 @@ from types import ModuleType as _ModuleType
 
 from .core import (
     SIZE_CAP,
+    ClosureCapError,
     MalformedTableError,
     MulTable,
     NotAssociativeError,
     SizeCapError,
+    StateCapError,
     UnknownFamilyError,
+    WorkCapError,
     associativity_failure,
     check_associativity,
     cyclic_group,
@@ -50,9 +53,8 @@ _LAZY = {
         ("green", "GreenData InflationWitness brute_force_inflation green_relations "
                   "inflation_of_right_zero is_h_trivial"),
         ("machine", "MealyMachine build_cayley_machine machine_to_dot"),
-        ("engine", "AutElement BehaviorGraph Closed ClosureCapError EnumerationResult "
-                   "Exceeded StateCapError WorkCapError act canonicalize "
-                   "count_distinct_words enumerate_semigroup equal "
+        ("engine", "AutElement BehaviorGraph Closed EnumerationResult Exceeded act "
+                   "canonicalize count_distinct_words enumerate_semigroup equal "
                    "first_letter_action section"),
         ("classify", "ClassificationReport classify free_pair_check infinite_witness "
                      "report_to_json"),

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import MulTable, _check_size
-from .engine import WORK_CAP, _check_word, _check_words, word_counts, word_total
+from .core import WORK_CAP, MulTable, _check_elements, _check_size, _check_words, word_total
 from .green import GreenData, green_relations, inflation_of_right_zero
 from .tableio import _shifted
 
@@ -144,7 +143,9 @@ def free_pair_check(
     not a proof; False exhibits a genuine relation.  Raises WorkCapError
     when the words, sum of 2**l for l = 1..max_len, are more than work_cap.
     """
-    _check_word(S, (u, v))
+    from .engine import word_counts
+
+    _check_elements("letter", (u, v), S.order)
     _check_size("max_len", max_len)
     _check_words(2, max_len, work_cap)
     # a finite closure stops the counts, a relation at the next length

@@ -23,17 +23,17 @@ import io
 import os
 import sys
 
-from .core import DEDUP_MODES, NotAssociativeError, _check_size, named_family
-from .engine import (
+from .core import (
+    DEDUP_MODES,
     DEFAULT_BUDGET,
     WORK_CAP,
     ClosureCapError,
-    Closed,
+    NotAssociativeError,
     StateCapError,
     WorkCapError,
-    act,
-    enumerate_semigroup,
-    word_counts,
+    _check_size,
+    _check_words,
+    named_family,
     word_total,
 )
 from .tableio import TableParseError, _shifted, parse_entries, parse_natural, parse_table
@@ -115,6 +115,8 @@ def cmd_machine(args) -> int:
 def cmd_enumerate(args) -> int:
     import json
 
+    from .engine import Closed, enumerate_semigroup
+
     S = load_input(args.input)
     result = enumerate_semigroup(S, args.budget)
     if isinstance(result, Closed):
@@ -131,6 +133,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_act(args) -> int:
+    from .engine import act
+
     S = load_input(args.input)
     word = _parse_letters(args.word, "word", S.order)
     prefix = _parse_letters(args.prefix, "prefix", S.order)
@@ -142,6 +146,8 @@ def cmd_act(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from .engine import word_counts
+
     _check_size("--max-len", args.max_len)
     _check_size("--work-cap", args.work_cap)
     # The free reference counts the words of a free semigroup whose rank is
@@ -151,14 +157,15 @@ def cmd_growth(args) -> int:
     rank = len(set(S.rows))
     print("order %d, %d distinct generator states" % (S.order, rank))
     print("length  distinct  new  free reference")
-    counts = word_counts(S, range(S.order), args.work_cap)
+    counts = word_counts(S, range(S.order))
     previous = 0
     for length in range(1, args.max_len + 1):
         try:
-            total = next(counts)
+            _check_words(S.order, length, args.work_cap)
         except WorkCapError as err:
             print("stopped at length %d: %s" % (length, err))
             break
+        total = next(counts)
         free_reference = word_total(rank, length)
         print("%6d  %8d  %4d  %14d" % (length, total, total - previous, free_reference))
         previous = total

@@ -14,6 +14,8 @@ from operator import itemgetter
 
 # Constructors refuse to build tables larger than this.
 SIZE_CAP = 64
+DEFAULT_BUDGET = 10_000
+WORK_CAP = 200_000
 
 # How corpus.generate_tables and canonical_form tell tables apart: by their
 # labeled rows, up to isomorphism, or up to isomorphism and anti-isomorphism.
@@ -38,6 +40,27 @@ class NotAssociativeError(ValueError):
 
 class SizeCapError(ValueError):
     """A constructor would exceed the size cap."""
+
+
+class ClosureCapError(ValueError):
+    """Section closure passed the cap, which is only a resource limit: sections
+    keep word length, so a length-k word has at most |S|**k residual words."""
+
+    def __init__(self, count):
+        self.count = count
+        super().__init__("section closure exceeded %d words" % count)
+
+
+class StateCapError(ValueError):
+    """The behavior graph grew past its state cap."""
+
+    def __init__(self, count):
+        self.count = count
+        super().__init__("behavior graph exceeded %d states" % count)
+
+
+class WorkCapError(ValueError):
+    """The requested sweep is larger than the configured work cap."""
 
 
 class UnknownFamilyError(ValueError):
@@ -94,6 +117,25 @@ def _check_size(name, value, cap=None):
         raise ValueError("%s must be positive" % name)
     _check_cap(value, cap)
     return value
+
+
+def word_total(letters: int, length: int) -> int:
+    """The number of words of length 1..length over the given number of
+    letters, sum of letters**l, in closed form."""
+    return length if letters == 1 else letters * (letters**length - 1) // (letters - 1)
+
+
+def _check_words(letters: int, length: int, work_cap: int) -> None:
+    """The one work-cap rule: raise WorkCapError if the words of length
+    1..length over the given number of letters are more than work_cap.  Over
+    two or more letters the lengths up to the cap's bit length plus one
+    already pass it, so the count never runs further."""
+    _check_int("work_cap", work_cap)
+    if letters > 1:
+        length = min(length, work_cap.bit_length() + 1)
+    total = word_total(letters, length)
+    if total > work_cap:
+        raise WorkCapError("%d words exceed the work cap %d" % (total, work_cap))
 
 
 def _check_shape(rows):

@@ -31,33 +31,24 @@ from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import MulTable, _check_elements, _check_int, _check_size, _picker
+# the limits live in core, for the routes that load no engine; engine.X still names each
+from .core import (
+    DEFAULT_BUDGET,
+    WORK_CAP,
+    ClosureCapError,
+    MulTable,
+    StateCapError,
+    WorkCapError,
+    _check_elements,
+    _check_int,
+    _check_size,
+    _check_words,
+    _picker,
+    word_total,
+)
 
-DEFAULT_BUDGET = 10_000
 CLOSURE_CAP = 10_000
 STATE_CAP = 500_000
-WORK_CAP = 200_000
-
-
-class ClosureCapError(ValueError):
-    """Section closure passed the cap, which is only a resource limit: sections
-    keep word length, so a length-k word has at most |S|**k residual words."""
-
-    def __init__(self, count):
-        self.count = count
-        super().__init__("section closure exceeded %d words" % count)
-
-
-class StateCapError(ValueError):
-    """The behavior graph grew past its state cap."""
-
-    def __init__(self, count):
-        self.count = count
-        super().__init__("behavior graph exceeded %d states" % count)
-
-
-class WorkCapError(ValueError):
-    """The requested sweep is larger than the configured work cap."""
 
 
 class FreshBoundReached(Exception):
@@ -597,8 +588,9 @@ def enumerate_semigroup(
     Breadth-first on word length (see _breadth_first for which products of
     the previous depth are composed).  The run is Closed when a depth adds
     nothing new, and Exceeded once more than budget distinct
-    transformations are proven to exist.  Row a of the table follows the
-    right Cayley graph: a * (p * g) = (a * p) * g.
+    transformations are proven to exist; a budget below the distinct rows,
+    where the search starts, raises ValueError.  Row a of the table follows
+    the right Cayley graph: a * (p * g) = (a * p) * g.
 
     With one generator per distinct row, the first element with it (a
     repeated row's products are never new, so the elements and their order
@@ -611,10 +603,10 @@ def enumerate_semigroup(
     passes prove the budget passed, with the answer the full depth gives,
     before its absorption and Cayley rows.
     """
-    n = S.order
-    if _check_int("budget", budget) < n:
-        raise ValueError("budget %d below the order %d" % (budget, n))
+    _check_int("budget", budget)
     graph = BehaviorGraph(S, state_cap)
+    if budget < len(graph):
+        raise ValueError("budget %d below the %d distinct rows" % (budget, len(graph)))
     try:
         for _, right, parent in _breadth_first(graph, sorted(set(graph.rep))):
             graph.fresh_bound = budget + 1 - len(graph)
@@ -633,39 +625,18 @@ def enumerate_semigroup(
     return Closed(elements, tuple(cayley), graph.generator_state)
 
 
-def word_total(letters: int, length: int) -> int:
-    """The number of words of length 1..length over the given number of
-    letters, sum of letters**l, in closed form."""
-    return length if letters == 1 else letters * (letters**length - 1) // (letters - 1)
-
-
-def _check_words(letters: int, length: int, work_cap: int) -> None:
-    """Raise WorkCapError if the words of length 1..length over the given
-    number of letters are more than work_cap.  Over two or more letters the
-    lengths up to the cap's bit length plus one already pass it, so the
-    count never runs further."""
-    _check_int("work_cap", work_cap)
-    if letters > 1:
-        length = min(length, work_cap.bit_length() + 1)
-    total = word_total(letters, length)
-    if total > work_cap:
-        raise WorkCapError("%d words exceed the work cap %d" % (total, work_cap))
-
-
-def word_counts(S: MulTable, gens, work_cap=None):
+def word_counts(S: MulTable, gens):
     """How many distinct transformations the words over gens of length at
     most l name, for l = 1, 2, ...; the count stays put from the first
-    length that adds none.  Raises WorkCapError before a length whose words
-    (sum of len(gens)**l) are more than work_cap (None: no cap).  Letters
-    with equal rows name one machine, so the search takes one letter per
-    distinct row among gens."""
+    length that adds none.  The count is uncapped: a caller applies the
+    work cap (_check_words) to the lengths it reads.  Letters with equal
+    rows name one machine, so the search takes one letter per distinct row
+    among gens."""
     graph = BehaviorGraph(S)
     letters = sorted({graph.rep[g] for g in gens})
     counts = (len(index) for index, _, _ in _breadth_first(graph, letters))
     total = 0
-    for length in itertools.count(1):
-        if work_cap is not None:
-            _check_words(len(gens), length, work_cap)
+    while True:
         # a finite closure ends the search: longer words name nothing new
         total = next(counts, total)
         yield total

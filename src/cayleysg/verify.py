@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 from .classify import classify, free_pair_check
 from .corpus import ENUMERATION_CAP, CorpusSpec, dump_line, generate_tables
-from .engine import (
+from .core import (
     DEFAULT_BUDGET,
     WORK_CAP,
-    Closed,
+    MulTable,
+    _check_elements,
+    _check_size,
     _check_words,
-    count_distinct_words,
-    enumerate_semigroup,
     word_total,
 )
+from .engine import Closed, count_distinct_words, enumerate_semigroup
 from .green import is_h_trivial
-from .core import MulTable, _check_size
 from .tableio import _shifted
 
 
@@ -93,14 +93,17 @@ def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
     if inflation is None:  # then two different rows refute it
         ok = len(set(S.rows)) > 1
     else:
-        targets, classes = inflation["targets"], inflation["classes"]
-        target_of = {b: t for t, members in zip(targets, classes) for b in members}
-        ok = (
-            sorted(itertools.chain(*classes)) == list(range(S.order))
-            and len(targets) == len(classes)
-            and all(t in members for t, members in zip(targets, classes))
-            and set(S.rows) == {tuple(map(target_of.get, range(S.order)))}
-        )
+        try:
+            targets, classes = inflation["targets"], inflation["classes"]
+            target_of = {b: t for t, members in zip(targets, classes) for b in members}
+            ok = (
+                sorted(itertools.chain(*classes)) == list(range(S.order))
+                and len(targets) == len(classes)
+                and all(t in members for t, members in zip(targets, classes))
+                and set(S.rows) == {tuple(map(target_of.get, range(S.order)))}
+            )
+        except (KeyError, TypeError):
+            ok = False
     checks.append(("inflation", ok, ""))
 
     green = report.green
@@ -115,25 +118,29 @@ def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
     line = dump_line(S)
     inconclusive = []
     witness = report.witnesses.get("infinite")
-    if not report.is_finite and witness is None:
-        checks.append(("infinite_witness", False, "classify gave no infinite witness"))
-    elif not report.is_finite:
-        h_class, stabilizer = witness["h_class"], witness["stabilizer"]
-        checks.append(("infinite_witness", len(h_class) > 1 and len(stabilizer) > 0, ""))
-        # membership depends on the row alone, so the first element of S
-        # with a stabilizer row is the first stabilizer element with it
-        reps = [t for t in stabilizer if S.rows.index(S.rows[t]) == t]
-        pairs = itertools.combinations(reps, 2)
-        if not any(free_pair_check(S, u, v, free_len) for u, v in pairs):
-            inconclusive.append(
-                {
-                    "table": line,
-                    "h_class": _shifted(h_class),
-                    "stabilizer": _shifted(stabilizer),
-                    "details": "no generator pair of the stabilizer passed the"
-                    " free pair check at length %d" % free_len,
-                }
-            )
+    if not report.is_finite:
+        try:
+            h_class, stabilizer = witness["h_class"], witness["stabilizer"]
+            _check_elements("element", (*h_class, *stabilizer), S.order)
+        except (KeyError, TypeError, ValueError):
+            given = "no" if witness is None else "a malformed"
+            checks.append(("infinite_witness", False, "classify gave %s infinite witness" % given))
+        else:
+            checks.append(("infinite_witness", len(h_class) > 1 and len(stabilizer) > 0, ""))
+            # membership depends on the row alone, so the first element of S
+            # with a stabilizer row is the first stabilizer element with it
+            reps = [t for t in stabilizer if S.rows.index(S.rows[t]) == t]
+            pairs = itertools.combinations(reps, 2)
+            if not any(free_pair_check(S, u, v, free_len) for u, v in pairs):
+                inconclusive.append(
+                    {
+                        "table": line,
+                        "h_class": _shifted(h_class),
+                        "stabilizer": _shifted(stabilizer),
+                        "details": "no generator pair of the stabilizer passed the"
+                        " free pair check at length %d" % free_len,
+                    }
+                )
 
     disagreements = [
         {"table": line, "check": name, "details": details}

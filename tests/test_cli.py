@@ -140,6 +140,14 @@ def test_enumerate_budget_too_small(capsys):
     assert "budget" in err
 
 
+def test_enumerate_budget_may_be_below_the_order(capsys):
+    # rectangular_band(8, 8) has order 64 but 8 distinct rows
+    code, out, _ = run(capsys, "enumerate", "family:rectangular_band:8,8", "--budget", "10")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["status"], payload["element_count"]) == ("Closed", 8)
+
+
 def test_act_output_is_one_based(capsys, tmp_path):
     path = tmp_path / "rz3.txt"
     path.write_text(c.format_table(c.right_zero(3)))
@@ -352,12 +360,12 @@ def test_a_free_length_far_past_the_work_cap_exits_5(capsys, free_len):
     "error", [c.StateCapError(60), c.ClosureCapError(10), c.WorkCapError("cap")]
 )
 def test_resource_limits_exit_5(capsys, monkeypatch, error):
-    cli = importlib.import_module("cayleysg.cli")
+    engine = importlib.import_module("cayleysg.engine")
 
     def hit_the_limit(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "enumerate_semigroup", hit_the_limit)
+    monkeypatch.setattr(engine, "enumerate_semigroup", hit_the_limit)
     code, out, err = run(capsys, "enumerate", "family:cyclic_group:2")
     assert code == 5
     assert out == ""

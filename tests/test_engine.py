@@ -422,6 +422,19 @@ def test_enumerate_budget_must_cover_generators():
         c.enumerate_semigroup(c.cyclic_group(3), 2)
 
 
+def test_enumerate_budget_need_only_cover_the_distinct_rows():
+    # order 64 with 8 distinct rows; C(S) is the left zero semigroup on them
+    result = c.enumerate_semigroup(c.rectangular_band(8, 8), 10)
+    assert isinstance(result, c.Closed)
+    assert len(result.elements) == 8
+    assert result == c.enumerate_semigroup(c.rectangular_band(8, 8))
+    # order 4 with 2 distinct rows; C(S) is infinite, like C(Z2)
+    S = c.direct_product(c.cyclic_group(2), c.right_zero(2))
+    assert c.enumerate_semigroup(S, 2) == c.Exceeded(3)
+    with pytest.raises(ValueError, match="budget 1 below the 2 distinct rows"):
+        c.enumerate_semigroup(S, 1)
+
+
 def test_enumerate_state_cap_reports_capped():
     result = c.enumerate_semigroup(c.cyclic_group(2), 10**6, state_cap=50)
     assert isinstance(result, c.Exceeded)

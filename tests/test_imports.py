@@ -23,6 +23,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = ("core", "tableio", "green", "machine", "engine", "classify", "corpus", "verify")
 # what `act` and `enumerate` must not load
 UNUSED_BY_ACT = {"cayleysg." + m for m in ("classify", "green", "corpus", "verify", "machine")}
+# the subcommands that compose machines, and so the only ones that load engine
+COMPOSING = ("enumerate", "act", "growth", "verify")
 
 
 def fresh(*args):
@@ -72,9 +74,24 @@ def test_each_subcommand_in_a_fresh_process(argv, capsys, tmp_path):
     assert (proc.returncode, code) == (0, 0), proc.stderr[-2000:]
     assert proc.stdout == expected
     loaded = imported(proc.stderr)
-    assert {"cayleysg.core", "cayleysg.tableio", "cayleysg.engine"} <= loaded
+    assert {"cayleysg.core", "cayleysg.tableio"} <= loaded
+    assert ("cayleysg.engine" in loaded) == (argv[0] in COMPOSING)
     if argv[0] in ("act", "enumerate"):
         assert not loaded & UNUSED_BY_ACT
+
+
+def test_classify_leaves_the_engine_unloaded_in_a_fresh_process():
+    script = "\n".join(
+        [
+            "import sys, cayleysg",
+            "report = cayleysg.classify(cayleysg.example_ijkf())",
+            "assert report.is_finite and not report.is_free",
+            "assert 'cayleysg.classify' in sys.modules",
+            "assert 'cayleysg.engine' not in sys.modules",
+        ]
+    )
+    proc = fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -108,6 +108,7 @@ WRONG_WITNESSES = {
     "a target outside its class": ((0, 0, 3, 6), ((0, 1), (2,), (3, 4, 5), (6, 7, 8))),
     "an empty class": ((0, 0, 3, 6), ((0, 1, 2), (), (3, 4, 5), (6, 7, 8))),
     "a target with no class": ((0, 3, 6, 7), ((0, 1, 2), (3, 4, 5), (6, 7, 8))),
+    "integer classes": ((0, 3, 6), (0, 3, 6)),
 }
 
 
@@ -126,8 +127,12 @@ def test_check_table_reports_a_wrong_inflation_witness(monkeypatch, targets, cla
 
 @pytest.mark.parametrize(
     "S, witness, checks",
-    [(INFLATION, None, 8), (cyclic_group(2), {"targets": (0,), "classes": ((0, 1),)}, 9)],
-    ids=["missing", "made up"],
+    [
+        (INFLATION, None, 8),
+        (cyclic_group(2), {"targets": (0,), "classes": ((0, 1),)}, 9),
+        (INFLATION, {"targets": (0,)}, 8),
+    ],
+    ids=["missing", "made up", "without classes"],
 )
 def test_check_table_reports_a_missing_or_made_up_inflation_witness(
     monkeypatch, S, witness, checks
@@ -256,6 +261,24 @@ def test_check_table_reports_an_infinite_claim_without_its_witness(monkeypatch):
     assert passed == 7
     assert [item["check"] for item in disagreements] == ["finite", "infinite_witness"]
     assert disagreements[1]["details"] == "classify gave no infinite witness"
+    assert inconclusive == []
+
+
+def test_check_table_reports_an_infinite_witness_without_its_stabilizer(monkeypatch):
+    S = cyclic_group(2)
+    report = verify.classify(S)
+    witnesses = dict(report.witnesses, infinite={"h_class": (0, 1)})
+    lying = dataclasses.replace(report, witnesses=witnesses)
+    monkeypatch.setattr(verify, "classify", lambda _: lying)
+    passed, disagreements, inconclusive = check_table(S)
+    assert passed == 8
+    assert disagreements == [
+        {
+            "table": "2;1 2;2 1",
+            "check": "infinite_witness",
+            "details": "classify gave a malformed infinite witness",
+        }
+    ]
     assert inconclusive == []
 
 
