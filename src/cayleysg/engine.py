@@ -51,12 +51,6 @@ CLOSURE_CAP = 10_000
 STATE_CAP = 500_000
 
 
-class FreshBoundReached(Exception):
-    """BehaviorGraph.extend proved that its seeds name at least the graph's
-    fresh_bound distinct behaviors the graph does not hold yet, and stopped
-    before absorbing any of them."""
-
-
 def _check_word(S, word):
     word = tuple(word)
     if not word:
@@ -330,8 +324,10 @@ class BehaviorGraph:
     alike in every behavior, so states read only the first letter of each
     distinct column; element() expands the machine back to all letters.
 
-    fresh_bound, None by default, lets a caller that only needs to know
-    whether that many new behaviors appear stop extend early (see extend).
+    fresh_bound, None by default, stops extend once that many new behaviors
+    are proven (see extend); _breadth_first sets it from its budget.  It is
+    no argument of extend, so extend(graph, seeds) keeps the signature that
+    perfbench/bench_trace.py wraps.
     """
 
     def __init__(self, S: MulTable, state_cap: int = STATE_CAP):
@@ -380,12 +376,12 @@ class BehaviorGraph:
         (h*m)*x, and moves to the pairs (nxt[c][x], h*m*x), so (c, h) and
         (c, act_rep[c][h]) are one pair state.
 
-        With fresh_bound set, raises FreshBoundReached, leaving the graph
-        as it was, after the first Moore pass that splits the seeds into
-        fresh_bound or more classes holding no state of the graph: each
-        such class is a behavior the graph does not hold, whatever the
-        remaining passes do.  StateCapError still comes first, from the
-        composition that precedes the passes.
+        With fresh_bound set, returns None, leaving the graph as it was,
+        after the first Moore pass that splits the seeds into fresh_bound
+        or more classes holding no state of the graph: each such class is
+        a behavior the graph does not hold, whatever the remaining passes
+        do.  StateCapError still comes first, from the composition that
+        precedes the passes.
 
         A state outside 0..len(self) - 1 or an element outside 0..|S| - 1
         raises ValueError.
@@ -429,7 +425,7 @@ class BehaviorGraph:
 
         cls = _refine(out + pair_out, nxt + pair_nxt, base, seed_pairs, self.fresh_bound)
         if cls is None:
-            raise FreshBoundReached(self.fresh_bound)
+            return None
         # established behaviors are pairwise distinct, fresh classes follow in id order
         if cls[:base] != list(range(base)):
             raise RuntimeError("refinement renumbered an established behavior")
@@ -496,14 +492,16 @@ class Exceeded:
 EnumerationResult = Closed | Exceeded
 
 
-def _breadth_first(graph, gens):
+def _breadth_first(graph, gens, budget=None):
     """Breadth-first search by word length of the semigroup generated by
     the behaviors of gens: index maps the graph state of each element to its
     number in discovery order, parent[e] = (p, i) says e = p * gens[i] (p is
     -1 for gens[i] itself) and right[e][i] = e * gens[i] is the right Cayley
     graph.  Yields after each length that adds elements, with right filled
     up to the previous length; ends, with right complete, at the first
-    length that adds nothing.
+    length that adds nothing, or, with right shorter than parent, at the
+    first extend that proves more than budget graph states (each extend gets
+    fresh_bound = budget + 1 - len(graph), or None for no budget).
 
     As in Froidure and Pin (1997), discovery order is the shortlex order of
     the elements' first words: generators come in order, then the frontier
@@ -560,8 +558,10 @@ def _breadth_first(graph, gens):
         composed = [every if s < 0 else new_letters[s] for s in suffix[len(right) :]]
         states = list(index)[len(right) :]
         seeds = [(st, gens[i]) for st, row in zip(states, composed) for i in row]
-        results = iter(graph.extend(seeds))
-        # after the extend, so a length that fresh_bound stops fills none
+        graph.fresh_bound = None if budget is None else budget + 1 - len(graph)
+        if (results := graph.extend(seeds)) is None:
+            return
+        results = iter(results)
         for p, j in parent[len(left) : len(right)]:
             left.append(tuple(right[x][j] for x in (gen if p < 0 else left[p])))
         for u in frontier:
@@ -598,22 +598,22 @@ def enumerate_semigroup(
     the elements found so far, in discovery order: a pair state composes a
     graph state with an element, whose machine is a generator's, so a fresh
     class is an element new at this depth, which is a composed product and
-    so holds a seed, and _refine numbers it by its first seed.  So
-    fresh_bound = budget + 1 - len(graph) stops a depth as soon as its Moore
-    passes prove the budget passed, with the answer the full depth gives,
-    before its absorption and Cayley rows.
+    so holds a seed, and _refine numbers it by its first seed.  So the
+    search's budget, a bound on graph states, stops a depth as soon as its
+    Moore passes prove the budget passed, with the answer the full depth
+    gives, before its absorption and Cayley rows.
     """
     _check_int("budget", budget)
     graph = BehaviorGraph(S, state_cap)
     if budget < len(graph):
         raise ValueError("budget %d below the %d distinct rows" % (budget, len(graph)))
     try:
-        for _, right, parent in _breadth_first(graph, sorted(set(graph.rep))):
-            graph.fresh_bound = budget + 1 - len(graph)
-    except FreshBoundReached:
-        return Exceeded(budget + 1)
+        for _, right, parent in _breadth_first(graph, sorted(set(graph.rep)), budget):
+            pass
     except StateCapError:
         return Exceeded(len(graph), capped=True)
+    if len(right) < len(parent):
+        return Exceeded(budget + 1)
 
     cayley = []
     for a in range(len(parent)):

@@ -122,6 +122,8 @@ def check_table(S: MulTable, budget: int = DEFAULT_BUDGET, free_len: int = 4):
         try:
             h_class, stabilizer = witness["h_class"], witness["stabilizer"]
             _check_elements("element", (*h_class, *stabilizer), S.order)
+            if len({*h_class}) < len(h_class) or len({*stabilizer}) < len(stabilizer):
+                raise ValueError("a repeated element")
         except (KeyError, TypeError, ValueError):
             given = "no" if witness is None else "a malformed"
             checks.append(("infinite_witness", False, "classify gave %s infinite witness" % given))
@@ -155,7 +157,6 @@ def run_verify(
     budget: int = DEFAULT_BUDGET,
     free_len: int = 4,
     dedup: str = "up_to_iso_anti",
-    progress=None,
 ) -> VerifyReport:
     """Check every table of order 1..max_order (one per dedup class); a
     max_order or free_len that is not an int or is below 1, a max_order
@@ -175,8 +176,6 @@ def run_verify(
             checks_passed += passed
             disagreements.extend(bad)
             inconclusive.extend(open_ended)
-            if progress is not None:
-                progress(order, tables_checked)
     return VerifyReport(
         max_order=max_order,
         budget=budget,

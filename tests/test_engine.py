@@ -493,8 +493,7 @@ def test_a_stopped_extend_leaves_the_graph_as_it_was():
     seeds = every_product(graph, (0, 1))
     before = graph_state(graph)
     graph.fresh_bound = 1
-    with pytest.raises(engine.FreshBoundReached):
-        graph.extend(seeds)
+    assert graph.extend(seeds) is None
     assert graph_state(graph) == before
     graph.fresh_bound = None
     graph.extend(seeds)
@@ -563,12 +562,8 @@ def test_graph_states_are_the_elements_in_discovery_order(tables2, tables3):
     order4 = c.generate_tables(c.CorpusSpec(4, "up_to_iso"))
     for S in [c.left_zero(1), *tables2, *tables3, *order4]:
         graph = c.BehaviorGraph(S)
-        try:
-            for index, _, _ in engine._breadth_first(graph, range(S.order)):
-                assert list(index) == list(range(len(graph))), S.rows
-                graph.fresh_bound = 1001 - len(graph)
-        except engine.FreshBoundReached:
-            pass
+        for index, _, _ in engine._breadth_first(graph, range(S.order), 1000):
+            assert list(index) == list(range(len(graph))), S.rows
 
 
 def test_every_product_names_its_first_word_times_the_generator(tables2, tables3):
@@ -579,10 +574,7 @@ def test_every_product_names_its_first_word_times_the_generator(tables2, tables3
         n = S.order
         for gens in [range(n), *itertools.product(range(n), repeat=2)]:
             graph = c.BehaviorGraph(S)
-            try:
-                for _, right, parent in engine._breadth_first(graph, gens):
-                    graph.fresh_bound = 301 - len(graph)
-            except engine.FreshBoundReached:
+            for _, right, parent in engine._breadth_first(graph, gens, 300):
                 pass
             words = []
             for p, i in parent:
@@ -591,6 +583,16 @@ def test_every_product_names_its_first_word_times_the_generator(tables2, tables3
                 for i, r in enumerate(row):
                     word = words[e] + (gens[i],)
                     assert c.equal(S, words[r], word), (S.rows, tuple(gens), word)
+
+
+def test_the_budget_bounds_graph_states_not_elements():
+    # (0, 0) over Z2 names one element per length, 0^k, but the graph holds
+    # every word of length k over both letters: it doubles each length, so a
+    # budget counted in elements would run into the state cap instead
+    graph = c.BehaviorGraph(c.cyclic_group(2))
+    for _, right, parent in engine._breadth_first(graph, (0, 0), 300):
+        pass
+    assert (len(parent), len(right), len(graph)) == (8, 7, 2 + 4 + 8 + 16 + 32 + 64 + 128 + 256)
 
 
 def extend_seeds(monkeypatch, S, budget):
@@ -684,12 +686,11 @@ def test_the_level_past_the_budget_stops_before_absorbing(monkeypatch):
 
     def recorded(graph, seeds):
         before = graph_state(graph)
-        try:
-            return extend(graph, seeds)
-        except engine.FreshBoundReached:
+        ids = extend(graph, seeds)
+        if ids is None:
             stopped.append(len(seeds))
             assert graph_state(graph) == before
-            raise
+        return ids
 
     monkeypatch.setattr(engine.BehaviorGraph, "extend", recorded)
     # lengths 1..4 give 3, 12, 39 and 120 elements

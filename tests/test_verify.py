@@ -264,12 +264,17 @@ def test_check_table_reports_an_infinite_claim_without_its_witness(monkeypatch):
     assert inconclusive == []
 
 
-def test_check_table_reports_an_infinite_witness_without_its_stabilizer(monkeypatch):
+@pytest.mark.parametrize(
+    "witness",
+    [{"h_class": (0, 1)}, {"h_class": (0, 1), "stabilizer": (0, 0)}],
+    ids=["without its stabilizer", "with a repeated stabilizer element"],
+)
+def test_check_table_reports_a_malformed_infinite_witness(monkeypatch, witness):
     S = cyclic_group(2)
     report = verify.classify(S)
-    witnesses = dict(report.witnesses, infinite={"h_class": (0, 1)})
-    lying = dataclasses.replace(report, witnesses=witnesses)
+    lying = dataclasses.replace(report, witnesses=dict(report.witnesses, infinite=witness))
     monkeypatch.setattr(verify, "classify", lambda _: lying)
+    monkeypatch.setattr(verify, "free_pair_check", None)  # no pair search runs
     passed, disagreements, inconclusive = check_table(S)
     assert passed == 8
     assert disagreements == [
@@ -366,26 +371,19 @@ def test_report_round_trips_to_json():
     }
 
 
-def test_progress_callback_sees_every_table():
+def test_run_verify_rejects_an_order_above_the_cap_before_any_table(monkeypatch):
     seen = []
-    run_verify(2, progress=lambda order, count: seen.append((order, count)))
-    assert seen[0] == (1, 1)
-    assert seen[-1][1] == len(seen)
-
-
-def test_run_verify_rejects_an_order_above_the_cap_before_any_table():
-    seen = []
+    monkeypatch.setattr(verify, "check_table", lambda S, *args: seen.append(S) or (0, [], []))
     with pytest.raises(SizeCapError):
-        run_verify(5, progress=lambda order, count: seen.append((order, count)))
+        run_verify(5)
     assert seen == []
 
 
-def test_run_verify_rejects_a_free_len_above_the_work_cap_before_any_table():
+def test_run_verify_rejects_a_free_len_above_the_work_cap_before_any_table(monkeypatch):
     seen = []
+    monkeypatch.setattr(verify, "check_table", lambda S, *args: seen.append(S) or (0, [], []))
     with pytest.raises(WorkCapError):
-        run_verify(
-            4, free_len=9, progress=lambda order, count: seen.append((order, count))
-        )
+        run_verify(4, free_len=9)
     assert seen == []
 
 
