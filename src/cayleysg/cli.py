@@ -13,7 +13,8 @@ whose reader has gone, for which nothing is printed, also under python -u;
 a run whose code was already nonzero keeps it), 3 a well-formed table
 that is not associative, 4 a verify run that found disagreements (including
 a closed C(S) that is not H-trivial), 5 a run that hit a resource limit (the
-work cap, the behavior graph's state cap or the section closure cap).
+work cap, the section closure cap or the behavior graph's state cap, which
+enumerate instead reports in its answer, "capped": true, with exit 0).
 """
 
 from __future__ import annotations

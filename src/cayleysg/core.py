@@ -52,7 +52,8 @@ class ClosureCapError(ValueError):
 
 
 class StateCapError(ValueError):
-    """The behavior graph grew past its state cap."""
+    """The behavior graph would grow past its state cap: count is the state
+    count one more pair state would make, state_cap + 1 (see extend)."""
 
     def __init__(self, count):
         self.count = count

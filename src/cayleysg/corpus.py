@@ -64,24 +64,18 @@ def _serialize(n, flat):
     return ("%d:" % n + ",".join(map(str, flat))).encode("ascii")
 
 
-def generate_tables(spec: CorpusSpec, fill_order: str = "row_major"):
+def generate_tables(spec: CorpusSpec):
     """Stream every associative table of the given order as MulTables.
 
-    With dedup 'up_to_iso' or 'up_to_iso_anti' only canonical
-    representatives are yielded.  The fill order ('row_major' or
-    'column_major') changes the search tree but not the stream's content
-    in labeled mode nor the set of representatives; it exists so the
-    corpus can be cross-checked against itself.
+    Cells are filled in row-major order, each with 0..n-1 in turn, so the
+    labeled stream is in lexicographic order of the flattened table.  With
+    dedup 'up_to_iso' or 'up_to_iso_anti' only canonical representatives
+    are yielded.
     """
     n = _check_size("order", spec.order, ENUMERATION_CAP)
     if spec.dedup not in DEDUP_MODES:
         raise ValueError("unknown dedup mode %r" % spec.dedup)
-    if fill_order == "row_major":
-        cells = [(i, j) for i in range(n) for j in range(n)]
-    elif fill_order == "column_major":
-        cells = [(i, j) for j in range(n) for i in range(n)]
-    else:
-        raise ValueError("unknown fill order %r" % fill_order)
+    cells = [(i, j) for i in range(n) for j in range(n)]
 
     grid = [[-1] * n for _ in range(n)]
     # Filling cell (i, j) can only complete a triple that reads it as a*b,

@@ -368,7 +368,7 @@ class BehaviorGraph:
     def extend(self, seeds):
         """Compose behaviors with one-letter machines and absorb the results.
 
-        seeds is a sequence of (state, element) pairs; the return value
+        seeds is an iterable of (state, element) pairs; the return value
         gives, for each seed in order, the state id of the transformation
         'seed behavior followed by the machine of element'.
 
@@ -380,8 +380,8 @@ class BehaviorGraph:
         after the first Moore pass that splits the seeds into fresh_bound
         or more classes holding no state of the graph: each such class is
         a behavior the graph does not hold, whatever the remaining passes
-        do.  StateCapError still comes first, from the composition that
-        precedes the passes.
+        do.  StateCapError comes first: composition raises it before it
+        numbers a pair state, seed or successor, past state_cap.
 
         A state outside 0..len(self) - 1 or an element outside 0..|S| - 1
         raises ValueError.
@@ -402,6 +402,8 @@ class BehaviorGraph:
             g = act_rep[c][h]
             pid = pair_ids[c].setdefault(g, top)
             if pid == top:
+                if top >= self.state_cap:
+                    raise StateCapError(top + 1)
                 pair_list.append((c, g))
                 top += 1
             seed_ids.append(pid)
@@ -415,13 +417,13 @@ class BehaviorGraph:
                 g = act_rep[t][hy]
                 pid = pair_ids[t].setdefault(g, top)
                 if pid == top:
+                    if top >= self.state_cap:
+                        raise StateCapError(top + 1)
                     pair_list.append((t, g))
                     top += 1
                 ids.append(pid)
             pair_out.append(m)
             pair_nxt.append(tuple(ids))
-            if top > self.state_cap:
-                raise StateCapError(top)
 
         cls = _refine(out + pair_out, nxt + pair_nxt, base, seed_pairs, self.fresh_bound)
         if cls is None:

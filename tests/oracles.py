@@ -1,13 +1,13 @@
 """Independent oracles used by the tests.
 
 Everything here is written directly from definitions, on purpose not
-sharing code with the package: naive associativity filtering, literal
-machine runs for word semantics, mutual-membership Green relations,
-closure-computed ideals, textbook Moore refinement of machine states, a
-backtracking isomorphism search between tables and the shape (group, left
-or right zero, null, rectangular band) of a closed subset.  Frozen
-constants in the tests were produced by these oracles and are asserted
-against both routes.
+sharing code with the package: naive associativity filtering, a
+column-major backtracking fill of associative tables, literal machine runs
+for word semantics, mutual-membership Green relations, closure-computed
+ideals, textbook Moore refinement of machine states, a backtracking
+isomorphism search between tables and the shape (group, left or right
+zero, null, rectangular band) of a closed subset.  Frozen constants in the
+tests were produced by these oracles and are asserted against both routes.
 """
 
 from __future__ import annotations
@@ -32,6 +32,39 @@ def all_tables(n):
         rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
         if is_associative(rows):
             found.append(rows)
+    return found
+
+
+def column_major_tables(n):
+    """Every associative table of order n, by backtracking over the cells
+    column by column, each tried with 0..n-1: after each cell the grid is
+    dropped if any triple whose four lookups are filled has (ab)c != a(bc)."""
+    cells = [(i, j) for j in range(n) for i in range(n)]
+    grid = [[None] * n for _ in range(n)]
+    found = []
+
+    def clash():
+        for a, b, c in itertools.product(range(n), repeat=3):
+            ab, bc = grid[a][b], grid[b][c]
+            if ab is None or bc is None:
+                continue
+            left, right = grid[ab][c], grid[a][bc]
+            if left is not None and right is not None and left != right:
+                return True
+        return False
+
+    def fill(k):
+        if k == len(cells):
+            found.append(tuple(map(tuple, grid)))
+            return
+        i, j = cells[k]
+        for v in range(n):
+            grid[i][j] = v
+            if not clash():
+                fill(k + 1)
+        grid[i][j] = None
+
+    fill(0)
     return found
 
 

@@ -372,6 +372,16 @@ def test_resource_limits_exit_5(capsys, monkeypatch, error):
     assert err == "error: %s\n" % error
 
 
+def test_a_capped_enumeration_exits_0_with_its_answer(capsys, monkeypatch):
+    # enumerate reports a state-cap stop in its payload, not as exit 5
+    engine = importlib.import_module("cayleysg.engine")
+    capped = c.Exceeded(7, capped=True)
+    monkeypatch.setattr(engine, "enumerate_semigroup", lambda *args, **kwargs: capped)
+    code, out, err = run(capsys, "enumerate", "family:cyclic_group:2")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"status": "Exceeded", "count_reached": 7, "capped": True}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

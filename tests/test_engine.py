@@ -709,6 +709,18 @@ def test_a_capped_last_level_keeps_its_capped_answer():
     )
 
 
+def test_the_state_cap_binds_where_a_pair_state_is_numbered():
+    # the second extend's 36 seeds alone would make 48 states; the cap of 20
+    # stops the numbering at the 21st state, before any successor is composed
+    graph = c.BehaviorGraph(c.cyclic_group(3), state_cap=20)
+    graph.extend(every_product(graph, range(3)))
+    before = graph_state(graph)
+    with pytest.raises(c.StateCapError) as raised:
+        graph.extend(every_product(graph, range(3)))
+    assert raised.value.count == 21
+    assert graph_state(graph) == before
+
+
 def test_extend_rejects_a_refinement_that_breaks_state_ids(monkeypatch):
     import cayleysg.engine as engine
 
